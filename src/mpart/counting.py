@@ -1,6 +1,7 @@
-"""Counting a_m = |Mp(m)|: truncation recurrence, dense table builder, and
-the binary-partition series that gives a closed form on the upper half of
-every binade.
+"""Counting a_m = |Mp(m)|: one engine for the truncation recurrence, a
+dense bottom-up table that :func:`a` and :func:`a_simple` extend and read,
+and the binary-partition series that gives a closed form on the upper half
+of every binade.
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -13,15 +14,9 @@ eventually wrap any fixed-width type.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Mapping
+from collections.abc import Iterator, Mapping
 
-from .core import (
-    DomainError,
-    _require_positive,
-    extension_range_m1,
-    extension_range_m12,
-)
+from .core import DomainError, _require_positive
 
 
 def in_upper_half(m: int) -> bool:
@@ -33,53 +28,62 @@ def in_upper_half(m: int) -> bool:
     return m >= (3 << (n - 1)) - 1
 
 
-class CountTable:
-    """Write-once memo of a_m values.
+class CountTable(Mapping[int, int]):
+    """Write-once dense table of a_1..a_M, read as a Mapping m -> a_m.
 
-    a_1 = 1 is the base case; every other entry comes from the recurrence.
-    :func:`a` fills single entries sparsely top-down; :func:`build_table`
-    fills a dense prefix bottom-up with prefix-sum acceleration.  A finished
-    table may be read from any number of threads; filling or extending it
-    is a single-writer affair.
+    a_1 = 1 is the base case; :func:`build_table` fills every later entry
+    bottom-up and :func:`a` extends the table as far as it needs.  Keys are
+    exactly 1..dense_limit; any other m is a KeyError.  A finished table may
+    be read from any number of threads; filling or extending it is a
+    single-writer affair.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[int, int] = {1: 1}
-        # Dense acceleration arrays, valid on indices 0..dense_limit:
+        # Dense arrays, valid on indices 0..dense_limit:
+        #   A[t]  = a_t (A[0] = 0 is padding, never a key)
         #   S[t]  = a_1 + ... + a_t
         #   P1[t] = S[0] + ... + S[t]
         #   Q[t]  = S[t] + S[t-2] + S[t-4] + ...
+        self._A = [0, 1]
         self._S = [0, 1]
         self._P1 = [0, 1]
         self._Q = [0, 1]
 
     @property
     def memo(self) -> Mapping[int, int]:
-        """Read-only view of every stored (m, a_m) pair."""
-        return MappingProxyType(self._memo)
+        """Read-only view of every stored (m, a_m) pair: the table itself."""
+        return self
 
     @property
     def dense_limit(self) -> int:
-        """Largest M such that all of a_1..a_M are tabulated densely."""
-        return len(self._S) - 1
-
-    def __contains__(self, m: int) -> bool:
-        return m in self._memo
+        """Largest M such that all of a_1..a_M are tabulated."""
+        return len(self._A) - 1
 
     def __getitem__(self, m: int) -> int:
-        return self._memo[m]
+        A = self._A
+        if 0 < m < len(A):
+            return A[m]
+        raise KeyError(m)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self._A)))
+
+    def __len__(self) -> int:
+        return len(self._A) - 1
 
     def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of a_i over lo <= i <= hi; O(1) inside the dense prefix."""
+        """Sum of a_i over lo <= i <= hi in O(1); 0 when lo > hi, else a
+        KeyError unless 1 <= lo and hi <= dense_limit."""
         if lo > hi:
             return 0
-        if hi <= self.dense_limit:
-            return self._S[hi] - self._S[lo - 1]
-        return sum(self._memo[i] for i in range(lo, hi + 1))
+        S = self._S
+        if lo < 1 or hi >= len(S):
+            raise KeyError((lo, hi))
+        return S[hi] - S[lo - 1]
 
 
 def a(m: int, table: CountTable | None = None) -> int:
-    """a_m = |Mp(m)| via the two-level truncation recurrence, memoized.
+    """a_m = |Mp(m)| via the two-level truncation recurrence.
 
     Every M-partition of m extends one of the one-step truncation sums m1 in
     ``extension_range_m1(m)``; the extensions that fail are in bijection
@@ -89,26 +93,15 @@ def a(m: int, table: CountTable | None = None) -> int:
         a_m = sum over m1 of ( a_m1 - sum over m12 of a_m12 )
 
     with the empty inner range contributing 0 and a_1 = 1 as the axiom.
-    Good for scattered queries; for a full prefix use :func:`build_table`.
+    Evaluated by extending ``table`` densely up to m with
+    :func:`build_table` (a no-op if it already covers m), then reading it.
     """
     _require_positive(m)
     if table is None:
         table = CountTable()
-    memo = table._memo
-
-    def rec(x: int) -> int:
-        val = memo.get(x)
-        if val is not None:
-            return val
-        val = 0
-        for m1 in extension_range_m1(x):
-            val += rec(m1)
-            for m12 in extension_range_m12(m1, x):
-                val -= rec(m12)
-        memo[x] = val
-        return val
-
-    return rec(m)
+    if m > table.dense_limit:
+        build_table(m, table)
+    return table._A[m]
 
 
 def _sum_S_at_half_indices(P1: list[int], A: int, B: int) -> int:
@@ -138,7 +131,7 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     _require_positive(M, "M")
     if table is None:
         table = CountTable()
-    memo, S, P1, Q = table._memo, table._S, table._P1, table._Q
+    A, S, P1, Q = table._A, table._S, table._P1, table._Q
     for m in range(table.dense_limit + 1, M + 1):
         n = m.bit_length() - 1
         lo = m >> 1
@@ -149,7 +142,7 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
             i0, i1 = 2 * m1s - m - 1, 2 * hi - m - 1
             val -= Q[i1] - (Q[i0 - 2] if i0 >= 2 else 0)
             val += _sum_S_at_half_indices(P1, m1s, hi)
-        memo[m] = val
+        A.append(val)
         S.append(S[-1] + val)
         P1.append(P1[-1] + S[-1])
         Q.append(S[-1] + Q[-2])
@@ -161,7 +154,8 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 
     Valid exactly on the window 2^n + 2^(n-1) - 1 <= m < 2^(n+1), where
     every truncation extends and nothing is overcounted; elsewhere a
-    :class:`DomainError`.  Always equals :func:`a` on its domain.
+    :class:`DomainError`.  One :meth:`CountTable.range_sum` after extending
+    the table to 2^n - 1 if needed.  Always equals :func:`a` on its domain.
     """
     _require_positive(m)
     if not in_upper_half(m):
@@ -171,10 +165,10 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     if table is None:
         table = CountTable()
     n = m.bit_length() - 1
-    lo, hi = m >> 1, (1 << n) - 1
-    if hi <= table.dense_limit:
-        return table.range_sum(lo, hi)
-    return sum(a(i, table) for i in range(lo, hi + 1))
+    hi = (1 << n) - 1
+    if hi > table.dense_limit:
+        build_table(hi, table)
+    return table.range_sum(m >> 1, hi)
 
 
 class BinarySeries:
@@ -200,11 +194,6 @@ class BinarySeries:
         """b_0..b_j as a fresh list."""
         self.value(j)
         return self._b[: j + 1]
-
-    def coefficients(self, N: int) -> list[int]:
-        """Series coefficients 0..N via the truncated product; computed
-        independently of the recurrence cache."""
-        return gf_coefficients(N)
 
 
 def b(j: int, series: BinarySeries | None = None) -> int:

@@ -20,6 +20,21 @@ from mpart.counting import (
 )
 from mpart.enumeration import count_by_enumeration
 
+
+@lru_cache(maxsize=None)
+def recurrence_oracle(m):
+    """a_m straight from the two-level truncation recurrence, summed over
+    the ranges of ``extension_range_m1``/``extension_range_m12`` and memoised;
+    shares no code with the dense sweep of ``build_table``."""
+    if m == 1:
+        return 1
+    return sum(
+        recurrence_oracle(m1)
+        - sum(recurrence_oracle(m12) for m12 in extension_range_m12(m1, m))
+        for m1 in extension_range_m1(m)
+    )
+
+
 # ---------------------------------------------------------------- recurrence
 
 
@@ -51,6 +66,8 @@ def test_a_memoizes_into_the_given_table():
     assert 40 in table
     assert table[40] == 60
     assert table.memo[20] == 11
+    assert a(20, table) == 11
+    assert table.dense_limit == len(table.memo) == 40
 
 
 def test_memo_view_is_read_only():
@@ -87,19 +104,22 @@ def test_build_table_extension_never_rewrites():
 
 
 def test_dense_and_sparse_evaluators_agree(table14):
-    fresh = CountTable()
-    for m in range(1, 513):
-        assert a(m, fresh) == table14[m], m
-    for m in (1023, 1024, 2000, 4097):
-        assert a(m, CountTable()) == table14[m], m
+    for m in range(1, (1 << 10) + 1):
+        assert recurrence_oracle(m) == table14[m], m
 
 
 def test_range_sum_paths_agree(table14):
     assert table14.range_sum(8, 11) == sum(table14[i] for i in range(8, 12))
     assert table14.range_sum(5, 4) == 0
-    sparse = CountTable()
-    a(24, sparse)
-    assert sparse.range_sum(12, 15) == 6  # falls back to per-entry lookups
+    small = build_table(10)
+    assert small.range_sum(1, 5) == 6
+    for lo, hi in ((0, 5), (-3, 2), (4, 11)):
+        with pytest.raises(KeyError):
+            small.range_sum(lo, hi)
+    for m in (0, -1, 11):
+        assert m not in small
+        with pytest.raises(KeyError):
+            small[m]
 
 
 # ---------------------------------------------------------------- upper half
@@ -115,6 +135,9 @@ def test_a_simple_examples():
     assert a_simple(25) == 6
     assert a_simple(14) == 1
     assert a_simple(63) == 1
+    table = CountTable()
+    assert a_simple(25, table) == 6
+    assert table.dense_limit == 15
 
 
 def test_a_simple_rejects_lower_half():
@@ -205,7 +228,7 @@ def test_gf_factor_order_is_immaterial():
 
 
 def test_series_coefficients_method_matches_cache(bser):
-    assert bser.coefficients(100) == bser.prefix(100)
+    assert gf_coefficients(100) == bser.prefix(100)
 
 
 # ---------------------------------------------------------------- closed form
