@@ -1,7 +1,7 @@
 """Counting a_m = |Mp(m)|: one engine for the truncation recurrence, a
 dense bottom-up table that :func:`a` and :func:`a_simple` extend and read,
 and the binary-partition series that gives a closed form on the upper half
-of every binade.
+of every binade (which :func:`a` uses there when the table stops short).
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -32,8 +32,8 @@ class CountTable(Mapping[int, int]):
     """Write-once dense table of a_1..a_M, read as a Mapping m -> a_m.
 
     a_1 = 1 is the base case; :func:`build_table` fills every later entry
-    bottom-up and :func:`a` extends the table as far as it needs.  Keys are
-    exactly 1..dense_limit; any other m is a KeyError.  A finished table may
+    bottom-up and :func:`a` extends it as far as a lower-half m needs.  Keys
+    are exactly the ints 1..dense_limit; any other key is a KeyError.  A finished table may
     be read from any number of threads; filling or extending it is a
     single-writer affair.
     """
@@ -61,8 +61,11 @@ class CountTable(Mapping[int, int]):
 
     def __getitem__(self, m: int) -> int:
         A = self._A
-        if 0 < m < len(A):
-            return A[m]
+        try:
+            if 0 < m < len(A):
+                return A[m]
+        except TypeError:  # a non-int key is absent, as in a dict
+            pass
         raise KeyError(m)
 
     def __iter__(self) -> Iterator[int]:
@@ -93,13 +96,18 @@ def a(m: int, table: CountTable | None = None) -> int:
         a_m = sum over m1 of ( a_m1 - sum over m12 of a_m12 )
 
     with the empty inner range contributing 0 and a_1 = 1 as the axiom.
-    Evaluated by extending ``table`` densely up to m with
-    :func:`build_table` (a no-op if it already covers m), then reading it.
+    Read from ``table`` when it covers m.  Otherwise an upper-half m is
+    answered by the closed form :func:`a_upper_half_via_b` in O(k) series
+    steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is; a
+    lower-half m extends ``table`` densely up to m with :func:`build_table`
+    and reads it.
     """
     _require_positive(m)
     if table is None:
         table = CountTable()
     if m > table.dense_limit:
+        if in_upper_half(m):
+            return a_upper_half_via_b(m)
         build_table(m, table)
     return table._A[m]
 

@@ -70,6 +70,18 @@ def test_a_memoizes_into_the_given_table():
     assert table.dense_limit == len(table.memo) == 40
 
 
+def test_a_answers_upper_half_past_the_table_by_the_closed_form(table14):
+    for m in range(2, 1025):
+        if in_upper_half(m):
+            assert a(m, CountTable()) == table14[m], m
+    table = CountTable()
+    assert a(2**40 - 1, table) == a(2**40 - 2, table) == 1
+    assert a(2**40 - 9, table) == 10  # b_4
+    assert table.dense_limit == 1
+    assert a_even_pairing_check(2**40 - 2)
+    assert defect(2**40 - 2) == 0
+
+
 def test_memo_view_is_read_only():
     table = CountTable()
     a(10, table)
@@ -104,7 +116,7 @@ def test_build_table_extension_never_rewrites():
 
 
 def test_dense_and_sparse_evaluators_agree(table14):
-    for m in range(1, (1 << 10) + 1):
+    for m in (*range(1, (1 << 10) + 1), 2000, 4097):
         assert recurrence_oracle(m) == table14[m], m
 
 
@@ -116,8 +128,9 @@ def test_range_sum_paths_agree(table14):
     for lo, hi in ((0, 5), (-3, 2), (4, 11)):
         with pytest.raises(KeyError):
             small.range_sum(lo, hi)
-    for m in (0, -1, 11):
+    for m in (0, -1, 11, "x", 2.5, None):
         assert m not in small
+        assert small.get(m) is None
         with pytest.raises(KeyError):
             small[m]
 
