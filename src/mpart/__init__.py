@@ -18,7 +18,6 @@ from .core import (
     generate_alg2,
     generate_alg3,
     is_m_partition,
-    is_m_partition_by_sum_bound,
     is_weak_m_partition,
     largest_part_bounds,
     num_parts,
@@ -73,7 +72,6 @@ __all__ = [
     "gf_coefficients",
     "in_upper_half",
     "is_m_partition",
-    "is_m_partition_by_sum_bound",
     "is_weak_m_partition",
     "iter_m_partitions",
     "largest_part_bounds",

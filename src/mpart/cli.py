@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from importlib import resources
+from itertools import islice
 from typing import Sequence
 
 from .core import (
@@ -57,13 +58,6 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _reject_csv(args) -> bool:
-    if args.format == "csv":
-        print("error: --format csv is only supported by the table command", file=sys.stderr)
-        return True
-    return False
-
-
 def _table_csv(M: int, table: CountTable) -> str:
     # pinned format: header "m,a_m", no padding, newline-terminated last row
     lines = ["m,a_m"]
@@ -81,8 +75,6 @@ def _golden_table64() -> str:
 
 
 def cmd_verify(args) -> int:
-    if _reject_csv(args):
-        return 2
     p = Partition(tuple(args.parts))  # ValueError here names the violation
     m = p.total
     weak = is_weak_m_partition(p)
@@ -119,8 +111,6 @@ _GENERATORS = {1: generate_alg1, 2: generate_alg2, 3: generate_alg3}
 
 
 def cmd_gen(args) -> int:
-    if _reject_csv(args):
-        return 2
     p = _GENERATORS[args.alg](args.m)
     ok = is_m_partition(p)
     if args.format == "json":
@@ -140,15 +130,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    if _reject_csv(args):
-        return 2
-    limit = args.limit
-    shown: list[Partition] = []
-    count = 0
-    for p in iter_m_partitions(args.m):
-        if limit is None or count < limit:
-            shown.append(p)
-        count += 1
+    # the walk stops after --limit items (islice caps its bound at
+    # sys.maxsize); the full count comes from the counting engine
+    limit = None if args.limit is None else min(args.limit, sys.maxsize)
+    shown = list(islice(iter_m_partitions(args.m), limit))
+    count = a(args.m)
     if args.format == "json":
         _emit_json(
             {
@@ -165,19 +151,18 @@ def cmd_enum(args) -> int:
     return 0
 
 
+_COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
+
+
 def cmd_count(args) -> int:
-    if _reject_csv(args):
-        return 2
     m = args.m
     method = args.method
     if method == "auto":
         method = "genfun" if in_upper_half(m) else "recurrence"
-    if method == "recurrence":
-        value = a(m)
-    elif method == "enumerate":
-        value = count_by_enumeration(m)
-    else:  # genfun -> DomainError outside the upper-half window
-        value = a_upper_half_via_b(m)
+    # "recurrence" resolves through a, which answers an upper half past the
+    # table by the closed form; the printed label stays the method asked
+    # for.  genfun is a DomainError outside the upper-half window.
+    value = _COUNTERS[method](m)
     if args.format == "json":
         _emit_json({"kind": "count", "m": _jint(m), "count": _jint(value), "method": method})
     else:
@@ -202,8 +187,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if _reject_csv(args):
-        return 2
     series = BinarySeries()
     bs = series.prefix(args.J)
     cs = gf_coefficients(args.J)
@@ -317,6 +300,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         print("mpart: error: a command is required", file=sys.stderr)
+        return 2
+    if getattr(args, "format", None) == "csv" and args.command != "table":
+        print("error: --format csv is only supported by the table command", file=sys.stderr)
         return 2
     try:
         return args.func(args)

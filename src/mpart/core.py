@@ -106,17 +106,6 @@ def is_m_partition(p: Partition) -> bool:
     return len(p.parts) == num_parts(p.total) and is_weak_m_partition(p)
 
 
-def is_m_partition_by_sum_bound(p: Partition) -> bool:
-    """Alternate formulation: weak coverage and 2**n <= total for n = len - 1.
-
-    Equivalent to :func:`is_m_partition` everywhere: a weak partition's total
-    is at most 2**len - 1, so the sum bound pins the same part count.  Both
-    shapes are kept public because each is the natural one in different
-    derivations; the test suite holds them together.
-    """
-    return is_weak_m_partition(p) and p.total >= 1 << (len(p.parts) - 1)
-
-
 def generate_alg1(m: int) -> Partition:
     """Witness M-partition: the powers 1, 2, ..., 2^(n-1) plus the remainder
     m - (2^n - 1), sorted into place (the remainder can land anywhere)."""
@@ -175,14 +164,15 @@ def largest_part_bounds(m: int) -> PartBounds:
 
         max(m - 2^n + 1, ceil((m - 2^(n-1) + 1) / 2))  <=  largest  <=  ceil(m/2)
 
-    All three bounds are attained (by the three generators).
+    All three bounds are attained (by the three generators).  The largest
+    part is m - m1 for m1 in :func:`extension_range_m1`, so the interval is
+    that range's complement.
     """
     _require_positive(m)
     if m < 2:
         raise DomainError("largest-part bounds need m >= 2; Mp(1) is just [1]")
-    n = m.bit_length() - 1
-    lower = max(m - (1 << n) + 1, (m - (1 << (n - 1)) + 2) >> 1)
-    return PartBounds(lower, (m + 1) >> 1)
+    r = extension_range_m1(m)
+    return PartBounds(m - r.hi, m - r.lo)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,19 @@ def in_upper_half(m: int) -> bool:
     return m >= (3 << (n - 1)) - 1
 
 
+def _require_upper_half(m: int) -> None:
+    if not in_upper_half(m):
+        _require_positive(m)
+        raise DomainError(
+            f"m={m} is not in an upper-half window 2^n + 2^(n-1) - 1 <= m <= 2^(n+1) - 1"
+        )
+
+
+def _series_index(m: int) -> int:
+    # floor(k/2) for k = 2^(n+1) - 1 - m, n = floor(log2 m)
+    return ((2 << (m.bit_length() - 1)) - 1 - m) >> 1
+
+
 class CountTable(Mapping[int, int]):
     """Write-once dense table of a_1..a_M, read as a Mapping m -> a_m.
 
@@ -165,11 +178,7 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     :class:`DomainError`.  One :meth:`CountTable.range_sum` after extending
     the table to 2^n - 1 if needed.  Always equals :func:`a` on its domain.
     """
-    _require_positive(m)
-    if not in_upper_half(m):
-        raise DomainError(
-            f"m={m} is not in an upper-half window 2^n + 2^(n-1) - 1 <= m <= 2^(n+1) - 1"
-        )
+    _require_upper_half(m)
     if table is None:
         table = CountTable()
     n = m.bit_length() - 1
@@ -237,14 +246,8 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
     Domain is the same window as :func:`a_simple`; always equals :func:`a`
     there.
     """
-    _require_positive(m)
-    if not in_upper_half(m):
-        raise DomainError(
-            f"m={m} is not in an upper-half window 2^n + 2^(n-1) - 1 <= m <= 2^(n+1) - 1"
-        )
-    n = m.bit_length() - 1
-    k = (2 << n) - 1 - m
-    return b(k >> 1, series)
+    _require_upper_half(m)
+    return b(_series_index(m), series)
 
 
 def defect(
@@ -257,14 +260,10 @@ def defect(
         defect(m) = b_floor(k/2) - a_m,   k = 2^(n+1) - 1 - m.
 
     Zero on every upper-half window; positive on the lower halves, where no
-    generating function is known.  defect(1) = 0 by convention.
+    generating function is known.  defect(1) = b_0 - a_1 = 0.
     """
     _require_positive(m)
-    if m == 1:
-        return 0
-    n = m.bit_length() - 1
-    k = (2 << n) - 1 - m
-    return b(k >> 1, series) - a(m, table)
+    return b(_series_index(m), series) - a(m, table)
 
 
 def a_even_pairing_check(m: int, table: CountTable | None = None) -> bool:

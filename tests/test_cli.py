@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import traceback
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpart import cli
 from mpart.counting import BinarySeries, build_table
@@ -156,6 +161,28 @@ def test_enum_rejects_zero(capsys):
     assert exc.value.code == 2
 
 
+def test_enum_limit_above_sys_maxsize_lists_everything(capsys):
+    rc, out, err = run_cli(capsys, "enum", "16", "--limit", "99999999999999999999")
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 13 and lines[-1] == "count: 12"
+
+
+def test_enum_count_matches_the_partitions_printed(capsys):
+    for m in range(1, 129):
+        rc, out, _ = run_cli(capsys, "enum", str(m))
+        assert rc == 0
+        *parts, last = out.splitlines()
+        assert last == f"count: {len(parts)}", m
+
+
+def test_enum_limit_stops_the_walk_at_large_m(capsys):
+    rc, out, _ = run_cli(capsys, "enum", "1024", "--limit", "1")
+    assert rc == 0
+    assert out.splitlines() == ["1+1+2+4+8+16+32+64+128+256+512", "count: 1873269202"]
+    assert build_table(1024)[1024] == 1873269202
+
+
 # ---------------------------------------------------------------- count
 
 
@@ -278,6 +305,21 @@ def test_selftest_detects_corrupted_golden(monkeypatch, capsys):
     assert "recurrence_vs_enumeration: pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "9", "--format", "csv"),
+        ("enum", "9", "--format", "csv"),
+        ("count", "9", "--format", "csv"),
+        ("series", "3", "--format", "csv"),
+    ],
+)
+def test_csv_format_refused_outside_table(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "table" in err
+
+
 def test_no_arguments_prints_usage_and_fails(capsys):
     rc, out, err = run_cli(capsys)
     assert rc == 2 and out == ""
@@ -321,3 +363,48 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "mpart"], capture_output=True, text=True, check=False
     )
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------- argument fuzz
+
+# Every shape here is cheap: m never exceeds 64 except 2**64 - 1, an upper
+# half, drawn for count only.
+_M_VALUES = st.sampled_from(["-1", "0", "x", "1.5"]) | st.integers(1, 64).map(str)
+_LIMITS = st.sampled_from([(), ("--limit", "0"), ("--limit", "3"), ("--limit", str(2**64))])
+_FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
+_METHODS = st.sampled_from(
+    [(), *(("--method", m) for m in ("recurrence", "enumerate", "genfun", "auto"))]
+)
+
+
+def _argv(*pieces):
+    # each piece draws one argument (a str) or several (a tuple)
+    return st.tuples(*pieces).map(
+        lambda t: tuple(arg for p in t for arg in ((p,) if isinstance(p, str) else p))
+    )
+
+
+_ARGV = st.one_of(
+    _argv(st.just("verify"), st.lists(_M_VALUES, max_size=4).map(tuple)),
+    _argv(st.just("gen"), _M_VALUES, st.sampled_from([(), ("--alg", "2"), ("--alg", "3")])),
+    _argv(st.just("enum"), _M_VALUES, _LIMITS),
+    _argv(st.just("count"), _M_VALUES | st.just(str(2**64 - 1)), _METHODS),
+    _argv(st.sampled_from(["table", "series"]), _M_VALUES),
+)
+
+
+@settings(max_examples=200, deadline=5000)
+@given(_ARGV, _FORMATS)
+def test_argument_shapes_exit_cleanly(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main([*argv, *fmt])
+        except SystemExit as exc:  # argparse refusing the shape
+            rc = exc.code
+        except Exception:
+            pytest.fail(f"{argv} {fmt} raised:\n{traceback.format_exc()}")
+    assert rc in (0, 1, 2), (argv, fmt, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        assert out.getvalue() == "" and err.getvalue() != ""

@@ -16,7 +16,6 @@ from mpart.core import (
     generate_alg2,
     generate_alg3,
     is_m_partition,
-    is_m_partition_by_sum_bound,
     is_weak_m_partition,
     largest_part_bounds,
     num_parts,
@@ -109,8 +108,12 @@ def test_weak_but_not_minimal():
 
 @given(part_lists)
 def test_two_formulations_agree(parts):
+    # The sum-bound formulation: weak coverage and 2**n <= total for
+    # n = len - 1.  A weak partition's total is at most 2**len - 1, so the
+    # bound pins the same part count as num_parts.
     p = Partition(tuple(parts))
-    assert is_m_partition(p) == is_m_partition_by_sum_bound(p)
+    by_sum_bound = is_weak_m_partition(p) and p.total >= 1 << (len(p.parts) - 1)
+    assert is_m_partition(p) == by_sum_bound
 
 
 # ---------------------------------------------------------------- generators

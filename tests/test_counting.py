@@ -157,6 +157,10 @@ def test_a_simple_rejects_lower_half():
     for m in (1, 4, 16, 22, 64):
         with pytest.raises(DomainError):
             a_simple(m)
+    for m in (0, -3):  # a nonpositive m is bad input, not out of domain
+        with pytest.raises(ValueError, match="positive") as exc:
+            a_simple(m)
+        assert not isinstance(exc.value, DomainError)
 
 
 def test_a_simple_agrees_with_recurrence_everywhere(table14):
@@ -257,6 +261,10 @@ def test_a_upper_half_via_b_rejects_lower_half():
     for m in (1, 4, 16, 64):
         with pytest.raises(DomainError):
             a_upper_half_via_b(m)
+    for m in (0, -3):  # a nonpositive m is bad input, not out of domain
+        with pytest.raises(ValueError, match="positive") as exc:
+            a_upper_half_via_b(m)
+        assert not isinstance(exc.value, DomainError)
 
 
 @settings(max_examples=60)
