@@ -18,7 +18,7 @@ import json
 import sys
 from importlib import resources
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     DomainError,
@@ -58,11 +58,16 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
+def _table_rows(M: int, table: CountTable) -> Iterator[str]:
+    # pinned format: header "m,a_m", no padding, newline-terminated last row;
+    # rows go out in blocks, as one write per row is half again as slow
+    yield "m,a_m\n"
+    for lo in range(1, M + 1, 4096):
+        yield "".join(f"{m},{table[m]}\n" for m in range(lo, min(lo + 4096, M + 1)))
+
+
 def _table_csv(M: int, table: CountTable) -> str:
-    # pinned format: header "m,a_m", no padding, newline-terminated last row
-    lines = ["m,a_m"]
-    lines.extend(f"{m},{table[m]}" for m in range(1, M + 1))
-    return "\n".join(lines) + "\n"
+    return "".join(_table_rows(M, table))
 
 
 def _golden_table64() -> str:
@@ -182,7 +187,7 @@ def cmd_table(args) -> int:
             }
         )
     else:
-        sys.stdout.write(_table_csv(args.M, table))
+        sys.stdout.writelines(_table_rows(args.M, table))
     return 0
 
 

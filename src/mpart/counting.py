@@ -53,13 +53,13 @@ class CountTable(Mapping[int, int]):
 
     def __init__(self) -> None:
         # Dense arrays, valid on indices 0..dense_limit:
-        #   A[t]  = a_t (A[0] = 0 is padding, never a key)
-        #   S[t]  = a_1 + ... + a_t
-        #   P1[t] = S[0] + ... + S[t]
-        #   Q[t]  = S[t] + S[t-2] + S[t-4] + ...
+        #   A[t] = a_t (A[0] = 0 is padding, never a key)
+        #   S[t] = a_1 + ... + a_t
+        #   Q[t] = S[t] + S[t-2] + ...  (so S[0] + ... + S[t] = Q[t] + Q[t-1])
+        # A repeats S[t] - S[t-1] so that table[m] and a(m) read a stored int;
+        # such reads set the latency percentiles of the count_table benchmark.
         self._A = [0, 1]
         self._S = [0, 1]
-        self._P1 = [0, 1]
         self._Q = [0, 1]
 
     @property
@@ -125,19 +125,6 @@ def a(m: int, table: CountTable | None = None) -> int:
     return table._A[m]
 
 
-def _sum_S_at_half_indices(P1: list[int], A: int, B: int) -> int:
-    # sum of S[m1//2 - 1] for m1 in [A, B]: the index advances every other
-    # m1, so split by parity and read each piece off P1.
-    out = 0
-    te0, te1 = (A + 1) // 2, B // 2  # even m1 = 2t
-    if te0 <= te1:
-        out += P1[te1 - 1] - (P1[te0 - 2] if te0 >= 2 else 0)
-    to0, to1 = A // 2, (B - 1) // 2  # odd m1 = 2t + 1
-    if to0 <= to1:
-        out += P1[to1 - 1] - (P1[to0 - 2] if to0 >= 2 else 0)
-    return out
-
-
 def build_table(M: int, table: CountTable | None = None) -> CountTable:
     """Tabulate a_1..a_M bottom-up in amortized O(1) big-int ops per entry.
 
@@ -145,14 +132,14 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     subtraction terms exist only for m1 with 3*m1 >= 2m + 1; over that run
     their upper index 2*m1 - m - 1 advances by two per step (covered by the
     stride-two prefix Q) and their lower index floor(m1/2) repeats each
-    value twice (covered by the prefix-of-prefix P1).  Extending an already
-    populated table computes only the new entries and never rewrites an old
-    one.
+    value twice (covered by the prefix of S, which is Q[x] + Q[x-1]).
+    Extending an already populated table computes only the new entries and
+    never rewrites an old one.
     """
     _require_positive(M, "M")
     if table is None:
         table = CountTable()
-    A, S, P1, Q = table._A, table._S, table._P1, table._Q
+    A, S, Q = table._A, table._S, table._Q
     for m in range(table.dense_limit + 1, M + 1):
         n = m.bit_length() - 1
         lo = m >> 1
@@ -160,12 +147,18 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
         val = S[hi] - S[lo - 1]
         m1s = max(lo, (2 * m + 3) // 3)  # first m1 with a nonempty inner range
         if m1s <= hi:
+            # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11, so t0 and
+            # i0 are >= 5: no index is negative (Python would wrap it silently).
+            # The sum of S[m1//2 - 1] over m1s..hi holds each t in t0..t1
+            # twice, less t0 if m1s is odd and t1 if hi is even.
             i0, i1 = 2 * m1s - m - 1, 2 * hi - m - 1
-            val -= Q[i1] - (Q[i0 - 2] if i0 >= 2 else 0)
-            val += _sum_S_at_half_indices(P1, m1s, hi)
+            val -= Q[i1] - Q[i0 - 2]
+            t0, t1 = m1s >> 1, hi >> 1
+            val += 2 * (Q[t1 - 1] + Q[t1 - 2] - Q[t0 - 2] - Q[t0 - 3])
+            val -= S[t0 - 1] if m1s & 1 else 0
+            val -= 0 if hi & 1 else S[t1 - 1]
         A.append(val)
         S.append(S[-1] + val)
-        P1.append(P1[-1] + S[-1])
         Q.append(S[-1] + Q[-2])
     return table
 

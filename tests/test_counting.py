@@ -107,12 +107,22 @@ def test_build_table_m1():
     assert table.dense_limit == 1
 
 
-def test_build_table_extension_never_rewrites():
+def test_build_table_extension_never_rewrites(table14):
     table = build_table(100)
     before = dict(table.memo)
     build_table(300, table)
     assert table.dense_limit == 300
     assert all(table[m] == v for m, v in before.items())
+    # a table that already covers M comes back as it is
+    before = dict(table.memo)
+    assert build_table(300, table) is table and build_table(7, table) is table
+    assert dict(table.memo) == before
+    # one entry at a time, across m = 16 where the subtraction branch first
+    # runs and every binade edge up to 512: each entry reads only earlier ones
+    table = build_table(1)
+    for k in range(2, 601):
+        assert build_table(k, table) is table and table.dense_limit == k
+    assert list(table.values()) == [table14[m] for m in range(1, 601)]
 
 
 def test_dense_and_sparse_evaluators_agree(table14):
