@@ -58,12 +58,29 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _table_rows(M: int, table: CountTable) -> Iterator[str]:
-    # pinned format: header "m,a_m", no padding, newline-terminated last row;
+def _blocks(M: int) -> Iterator[range]:
     # rows go out in blocks, as one write per row is half again as slow
-    yield "m,a_m\n"
     for lo in range(1, M + 1, 4096):
-        yield "".join(f"{m},{table[m]}\n" for m in range(lo, min(lo + 4096, M + 1)))
+        yield range(lo, min(lo + 4096, M + 1))
+
+
+def _table_rows(M: int, table: CountTable) -> Iterator[str]:
+    # pinned format: header "m,a_m", no padding, newline-terminated last row
+    yield "m,a_m\n"
+    for ms in _blocks(M):
+        yield "".join(f"{m},{table[m]}\n" for m in ms)
+
+
+def _table_json(M: int, table: CountTable) -> Iterator[str]:
+    # the bytes of _emit_json({"kind": "table", "rows": [[m, a_m], ...]}),
+    # each block of rows encoded as a list with its brackets cut off
+    sep = ""
+    yield '{"kind": "table", "rows": ['
+    for ms in _blocks(M):
+        rows = json.dumps([[m, _jint(table[m])] for m in ms], separators=(", ", ": "))
+        yield sep + rows[1:-1]
+        sep = ", "
+    yield "]}\n"
 
 
 def _table_csv(M: int, table: CountTable) -> str:
@@ -179,15 +196,8 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     table = build_table(args.M)
-    if args.format == "json":
-        _emit_json(
-            {
-                "kind": "table",
-                "rows": [[m, _jint(table[m])] for m in range(1, args.M + 1)],
-            }
-        )
-    else:
-        sys.stdout.writelines(_table_rows(args.M, table))
+    emit = _table_json if args.format == "json" else _table_rows
+    sys.stdout.writelines(emit(args.M, table))
     return 0
 
 

@@ -2,6 +2,8 @@
 dense bottom-up table that :func:`a` and :func:`a_simple` extend and read,
 and the binary-partition series that gives a closed form on the upper half
 of every binade (which :func:`a` uses there when the table stops short).
+A term b_j of that series costs O(log^3 j) big-int steps by halving, so an
+upper-half count needs neither a table nor a series prefix, at any size.
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -15,6 +17,8 @@ eventually wrap any fixed-width type.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from itertools import accumulate
+from operator import sub
 
 from .core import DomainError, _require_positive
 
@@ -110,8 +114,8 @@ def a(m: int, table: CountTable | None = None) -> int:
 
     with the empty inner range contributing 0 and a_1 = 1 as the axiom.
     Read from ``table`` when it covers m.  Otherwise an upper-half m is
-    answered by the closed form :func:`a_upper_half_via_b` in O(k) series
-    steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is; a
+    answered by the closed form :func:`a_upper_half_via_b` in O(log^3 k)
+    big-int steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is; a
     lower-half m extends ``table`` densely up to m with :func:`build_table`
     and reads it.
     """
@@ -181,8 +185,51 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     return table.range_sum(m >> 1, hi)
 
 
+# A fresh series appends its terms faster than halving computes b_j up to
+# about this j (each takes 0.6 to 0.9 ms at j = 2^12 on CPython 3.11), so
+# value() appends at most this many terms before it halves instead.
+_MAX_APPEND = 4096
+
+
+def _b_prefix_sum(x: int) -> int:
+    """b_0 + ... + b_x for x >= 0, in O(log^3 x) big-int steps.
+
+    Write T(P, x) for the sum of P(i) * b_i over 0 <= i <= x, P a
+    polynomial.  As b_i is the sum of b_(k//2) over k <= i, grouping the k
+    by k//2 gives T(P, x) = T(P', x//2) with
+
+        P'(t) = R(2t) + R(2t+1) = 2F(x) - F(2t-1) - F(2t),
+
+    where R(k) = P(k) + ... + P(x) and F(y) = P(0) + ... + P(y), F(-1) = 0;
+    the base case is T(P, 0) = P(0).  This is T(1, x).  P is held as its
+    forward differences at 0, so F(x) is one Newton sum; deg P' = deg P + 1.
+    """
+    lead = [1]
+    while x:
+        d = len(lead) - 1
+        # F(x) = sum over r of lead[r] * C(x+1, r+1)
+        F, c = 0, 1
+        for r, v in enumerate(lead):
+            c = c * (x + 1 - r) // (r + 1)
+            F += v * c
+        # P at 0..2d+2 by summing the difference rows back up from the
+        # constant d-th one, then Fs[y + 1] = F(y) for -1 <= y <= 2d+2
+        vals = [lead[-1]] * (d + 3)
+        for v in reversed(lead[:-1]):
+            vals = list(accumulate(vals, initial=v))
+        Fs = list(accumulate(vals, initial=0))
+        row = [2 * F - Fs[2 * t] - Fs[2 * t + 1] for t in range(d + 2)]
+        lead = []
+        while row:
+            lead.append(row[0])
+            row = list(map(sub, row[1:], row))
+        x >>= 1
+    return lead[0]
+
+
 class BinarySeries:
-    """Cached values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2).
+    """Values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2),
+    over a cache of b_0, b_1, ... that grows only by appending.
 
     b_j counts the partitions of 2j into powers of two and equals the x^j
     coefficient of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1; the test suite
@@ -193,21 +240,30 @@ class BinarySeries:
         self._b = [1]
 
     def value(self, j: int) -> int:
+        """b_j.  Read from the cache when it holds j; appended to it when at
+        most 4096 terms are missing; otherwise computed by halving in
+        O(log^3 j) big-int steps, which answers without filling the cache."""
+        if j - len(self._b) >= _MAX_APPEND:
+            return _b_prefix_sum(j) - _b_prefix_sum(j - 1)
+        return self._extend(j)[j]
+
+    def prefix(self, j: int) -> list[int]:
+        """b_0..b_j as a fresh list; always fills the cache up to j."""
+        return self._extend(j)[: j + 1]
+
+    def _extend(self, j: int) -> list[int]:
         if j < 0:
             raise ValueError(f"series index must be nonnegative, got {j}")
         seq = self._b
         while len(seq) <= j:
             seq.append(seq[-1] + seq[len(seq) >> 1])
-        return seq[j]
-
-    def prefix(self, j: int) -> list[int]:
-        """b_0..b_j as a fresh list."""
-        self.value(j)
-        return self._b[: j + 1]
+        return seq
 
 
 def b(j: int, series: BinarySeries | None = None) -> int:
-    """b_j of the doubling recurrence, extending the given cache as needed."""
+    """b_j of the doubling recurrence through :meth:`BinarySeries.value`: it
+    reads or extends the given cache, or past it computes b_j by halving
+    without filling it."""
     return (series if series is not None else BinarySeries()).value(j)
 
 

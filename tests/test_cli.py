@@ -249,6 +249,17 @@ def test_table_json_rows_match_enumeration(capsys):
         assert rows[m - 1] == [m, count_by_enumeration(m)]
 
 
+def test_table_json_streams_the_bytes_of_one_dump(capsys):
+    # 8200 rows span three output blocks, and a_m passes 2**53 - 1 at m = 8192
+    rc, out, _ = run_cli(capsys, "table", "8200", "--format", "json")
+    assert rc == 0
+    table = build_table(8200)
+    rows = [[m, table[m] if table[m] < 2**53 else str(table[m])] for m in range(1, 8201)]
+    assert isinstance(rows[8190][1], int) and isinstance(rows[8191][1], str)
+    payload = {"kind": "table", "rows": rows}
+    assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+
 # ---------------------------------------------------------------- series
 
 
@@ -367,8 +378,9 @@ def test_module_entry_point_subprocess():
 
 # ---------------------------------------------------------------- argument fuzz
 
-# Every shape here is cheap: m never exceeds 64 except 2**64 - 1, an upper
-# half, drawn for count only.
+# Every shape here is cheap: m never exceeds 64 except 2**64 - 1 and
+# 2**64 + 2**63 + 5, upper halves, drawn for count only; the second has
+# about 1.8e498 partitions, so it is never drawn with --method enumerate.
 _M_VALUES = st.sampled_from(["-1", "0", "x", "1.5"]) | st.integers(1, 64).map(str)
 _LIMITS = st.sampled_from([(), ("--limit", "0"), ("--limit", "3"), ("--limit", str(2**64))])
 _FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
@@ -388,7 +400,11 @@ _ARGV = st.one_of(
     _argv(st.just("verify"), st.lists(_M_VALUES, max_size=4).map(tuple)),
     _argv(st.just("gen"), _M_VALUES, st.sampled_from([(), ("--alg", "2"), ("--alg", "3")])),
     _argv(st.just("enum"), _M_VALUES, _LIMITS),
-    _argv(st.just("count"), _M_VALUES | st.just(str(2**64 - 1)), _METHODS),
+    _argv(
+        st.just("count"),
+        _M_VALUES | st.sampled_from([str(2**64 - 1), str(2**64 + 2**63 + 5)]),
+        _METHODS,
+    ).filter(lambda argv: argv[1:] != (str(2**64 + 2**63 + 5), "--method", "enumerate")),
     _argv(st.sampled_from(["table", "series"]), _M_VALUES),
 )
 

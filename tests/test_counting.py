@@ -1,4 +1,6 @@
+import random
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from mpart.core import DomainError, extension_range_m1, extension_range_m12
 from mpart.counting import (
+    _MAX_APPEND,
     BinarySeries,
     CountTable,
+    _b_prefix_sum,
     a,
     a_even_pairing_check,
     a_simple,
@@ -77,6 +81,7 @@ def test_a_answers_upper_half_past_the_table_by_the_closed_form(table14):
     table = CountTable()
     assert a(2**40 - 1, table) == a(2**40 - 2, table) == 1
     assert a(2**40 - 9, table) == 10  # b_4
+    assert a_even_pairing_check(2**64 + 2**63 + 6, table)  # b_(2^62 - 4) twice
     assert table.dense_limit == 1
     assert a_even_pairing_check(2**40 - 2)
     assert defect(2**40 - 2) == 0
@@ -199,6 +204,26 @@ def test_b_summation_identity(bser):
     for j in range(4097):
         total += bser.value(j >> 1)
         assert total == bser.value(j), j
+    # far past any cache, where value() halves: the defining recurrence
+    for j in (2**62 + 3, 2**100 + 6):
+        assert bser.value(j) - bser.value(j - 1) == bser.value(j >> 1), j
+
+
+def test_b_by_halving_matches_the_series():
+    ref = BinarySeries().prefix(2 * _MAX_APPEND)
+    # the halving itself, on every x < 2^12; value() takes b_j as the
+    # difference of two of these sums
+    assert [_b_prefix_sum(x) for x in range(1 << 12)] == list(accumulate(ref[: 1 << 12]))
+    # value() on a fresh series appends up to _MAX_APPEND terms, and halves
+    # past that without filling the cache
+    for j in (_MAX_APPEND - 1, _MAX_APPEND):
+        series = BinarySeries()
+        assert series.value(j) == ref[j] and len(series._b) == j + 1, j
+    for j in (_MAX_APPEND + 1, 2 * _MAX_APPEND):
+        series = BinarySeries()
+        assert series.value(j) == ref[j] and len(series._b) == 1, j
+    series.prefix(10)
+    assert len(series._b) == 11  # prefix always fills the cache
 
 
 def test_b_counts_binary_partitions():
@@ -256,6 +281,12 @@ def test_gf_factor_order_is_immaterial():
 
 def test_series_coefficients_method_matches_cache(bser):
     assert gf_coefficients(100) == bser.prefix(100)
+    # b(j) past the append limit takes the halving route
+    rng = random.Random(6)
+    js = [rng.randrange(_MAX_APPEND, 10**6 + 1) for _ in range(24)]
+    coeff = gf_coefficients(max(js))
+    for j in js:
+        assert b(j) == coeff[j], j
 
 
 # ---------------------------------------------------------------- closed form
