@@ -11,8 +11,7 @@ every caller).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterable, Iterator
 
 
 class DomainError(ValueError):
@@ -33,32 +32,73 @@ def num_parts(m: int) -> int:
     return m.bit_length()
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Record:
+    """Base of the immutable slotted records.
+
+    A record's fields are its ``__slots__``, set once in ``__init__``
+    through ``object.__setattr__`` or a slot's ``__set__``.  Equality,
+    hashing, copy and pickle all go through ``_args()``, the constructor's
+    arguments, so pickle rebuilds a record by calling its class.
+    """
+
+    __slots__ = ()
+
+    def _args(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._args() == other._args()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+    def __reduce__(self):
+        return self.__class__, self._args()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Partition(_Record):
     """Nondecreasing positive parts together with their cached sum.
 
     >>> Partition((1, 2, 4)).total
     7
 
     Raises ``ValueError`` for empty, non-positive, or out-of-order parts.
+    Compares and hashes by ``parts``.
     """
 
+    __slots__ = ("parts", "total")
     parts: tuple[int, ...]
-    total: int = field(init=False, compare=False)
+    total: int
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a partition needs at least one part")
+        # prev starts at 1 and never falls, so p < prev also catches p < 1
         prev = 1
         for p in parts:
-            if p < 1:
-                raise ValueError(f"parts must be positive integers, got {p}")
             if p < prev:
+                if p < 1:
+                    raise ValueError(f"parts must be positive integers, got {p}")
                 raise ValueError(f"parts must be nondecreasing, got {p} after {prev}")
             prev = p
-        object.__setattr__(self, "total", sum(parts))
+        _set_parts(self, parts)
+        _set_total(self, sum(parts))
+
+    def _args(self) -> tuple:
+        return (self.parts,)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -67,24 +107,18 @@ class Partition:
         return iter(self.parts)
 
     @property
-    def n(self) -> int:
-        """Index of the largest part (part count minus one)."""
-        return len(self.parts) - 1
-
-    @property
     def largest(self) -> int:
         return self.parts[-1]
 
-    def prefix_sums(self) -> tuple[int, ...]:
-        out = []
-        s = 0
-        for p in self.parts:
-            s += p
-            out.append(s)
-        return tuple(out)
-
     def __str__(self) -> str:
         return "+".join(str(p) for p in self.parts)
+
+
+# The slots' own setters, which skip the refusing __setattr__: the cursor
+# builds one Partition per partition, and with object.__setattr__ it took a
+# third longer per partition (Python 3.11).
+_set_parts = Partition.parts.__set__
+_set_total = Partition.total.__set__
 
 
 def is_weak_m_partition(p: Partition) -> bool:
@@ -151,12 +185,14 @@ def generate_alg3(m: int) -> Partition:
     return Partition(tuple(parts))
 
 
-@dataclass(frozen=True)
-class PartBounds:
+class PartBounds(_Record):
     """Sharp bounds on the largest part over all M-partitions of one m."""
 
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: int, upper: int) -> None:
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def largest_part_bounds(m: int) -> PartBounds:
@@ -175,12 +211,14 @@ def largest_part_bounds(m: int) -> PartBounds:
     return PartBounds(m - r.hi, m - r.lo)
 
 
-@dataclass(frozen=True)
-class ExtensionRange:
+class ExtensionRange(_Record):
     """Closed integer interval; emptiness (lo > hi) is an ordinary value."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def is_empty(self) -> bool:

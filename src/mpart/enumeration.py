@@ -18,14 +18,12 @@ inequality characterization it is used to validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .core import Partition, _require_positive
+from .core import Partition, _Record, _require_positive
 
 
-@dataclass(frozen=True)
-class SumReachability:
+class SumReachability(_Record):
     """Attainable sub-multiset sums of a part list, as a dense bitmask.
 
     Bit s of ``bits`` is set iff sum s is attainable; the universe is
@@ -33,8 +31,11 @@ class SumReachability:
     the complement s -> total - s (take the other parts).
     """
 
-    total: int
-    bits: int
+    __slots__ = ("total", "bits")
+
+    def __init__(self, total: int, bits: int) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "bits", bits)
 
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and (self.bits >> s) & 1 == 1
@@ -53,17 +54,19 @@ class SumReachability:
         return rev == self.bits
 
 
-def subset_sums(p: Partition) -> SumReachability:
-    """Exact subset-sum reachability of p's parts by dense DP.
-
-    The bitmask doubles as the DP table: after processing a part q, bit s is
-    set iff s is attainable from the parts seen so far (shift-OR adds q to
-    every attainable sum).
-    """
+def _sum_bits(parts: tuple[int, ...]) -> int:
+    # the bitmask doubles as the DP table: after processing a part q, bit s
+    # is set iff s is attainable from the parts seen so far (shift-OR adds q
+    # to every attainable sum)
     bits = 1
-    for q in p.parts:
+    for q in parts:
         bits |= bits << q
-    return SumReachability(p.total, bits)
+    return bits
+
+
+def subset_sums(p: Partition) -> SumReachability:
+    """Exact subset-sum reachability of p's parts by dense DP."""
+    return SumReachability(p.total, _sum_bits(p.parts))
 
 
 def oracle_is_weak(p: Partition) -> bool:
@@ -72,34 +75,61 @@ def oracle_is_weak(p: Partition) -> bool:
     Independent of the prefix-sum characterization in :mod:`mpart.core`;
     this is the oracle the fast predicate is validated against.
     """
-    return subset_sums(p).is_complete()
+    return _sum_bits(p.parts) == (1 << (p.total + 1)) - 1
 
 
 def iter_m_partitions(m: int) -> Iterator[Partition]:
     """Yield every M-partition of m exactly once, lexicographically ascending.
 
     A single-consumer cursor; distinct cursors (same m or not) are fully
-    independent.  Two runs produce identical sequences.
+    independent.  Two runs produce identical sequences.  Raises
+    ``ValueError`` for m < 1 at the call, not at the first ``next``.
     """
     _require_positive(m)
+    return _walk(m)
+
+
+def _walk(m: int) -> Iterator[Partition]:
+    # One frame, no recursion: buf holds the parts chosen so far, his[i]
+    # the top of position i's interval and sums[i] the sum before it.  The
+    # search stops at position n - 1: each value v there fixes the last
+    # part m - s - v, which the clamps at n - 1 already keep in range (as
+    # count_by_enumeration counts).
     n = m.bit_length() - 1
+    if n == 0:
+        yield Partition((1,))
+        return
+    # position i has t = n - i parts after it: besides last <= v <= 1 + s,
+    # its clamps are ceil((m + 1) / 2^t) - 1 - s <= v <= (m - s) // (t + 1)
+    floors = [-(-(m + 1) >> (n - i)) - 1 for i in range(n)]
+    spans = [n - i + 1 for i in range(n)]
     buf = [0] * (n + 1)
-
-    def walk(i: int, s: int, last: int) -> Iterator[Partition]:
-        if i == n:
-            v = m - s
-            if last <= v <= 1 + s:
+    his = [0] * n
+    sums = [0] * n
+    i, s, last = 0, 0, 1
+    while True:
+        lo = max(last, floors[i] - s)
+        hi = min(1 + s, (m - s) // spans[i])
+        if i == n - 1:
+            rest = m - s
+            for v in range(lo, hi + 1):
                 buf[i] = v
-                yield Partition(tuple(buf))
+                buf[n] = rest - v
+                yield Partition(buf)
+        elif lo <= hi:
+            buf[i], his[i], sums[i] = lo, hi, s
+            i, s, last = i + 1, s + lo, lo
+            continue
+        # back up to the deepest position that can still grow, and grow it
+        i -= 1
+        while i >= 0 and buf[i] == his[i]:
+            i -= 1
+        if i < 0:
             return
-        t = n - i
-        lo = max(last, -(-(m + 1) // (1 << t)) - s - 1)
-        hi = min(1 + s, (m - s) // (t + 1))
-        for v in range(lo, hi + 1):
-            buf[i] = v
-            yield from walk(i + 1, s + v, v)
-
-    return walk(0, 0, 1)
+        last = buf[i] + 1
+        buf[i] = last
+        s = sums[i] + last
+        i += 1
 
 
 def enumerate_m_partitions(m: int) -> list[Partition]:

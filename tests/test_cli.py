@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,25 @@ def test_count_methods_agree(capsys):
         assert "a_m: 114" in out  # a_100 = b_13 = 114
 
 
+def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
+    def no_walk(m):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setitem(cli._COUNTERS, "enumerate", no_walk)
+    rc, out, err = run_cli(capsys, "count", str(2**64 + 2**63 + 5), "--method", "enumerate")
+    assert rc == 1 and out == ""
+    assert f"a_m = {BinarySeries().value(2**62 - 3)};" in err
+    assert "--method recurrence" in err
+
+    # the bound is inclusive: a_100 = 114
+    monkeypatch.setitem(cli._COUNTERS, "enumerate", count_by_enumeration)
+    monkeypatch.setattr(cli, "_MAX_ENUMERATED", 113)
+    assert run_cli(capsys, "count", "100", "--method", "enumerate")[0] == 1
+    monkeypatch.setattr(cli, "_MAX_ENUMERATED", 114)
+    rc, out, _ = run_cli(capsys, "count", "100", "--method", "enumerate")
+    assert rc == 0 and "a_m: 114" in out
+
+
 def test_count_json(capsys):
     rc, out, _ = run_cli(capsys, "count", "64", "--format", "json")
     assert json.loads(out) == {"kind": "count", "m": 64, "count": 908, "method": "recurrence"}
@@ -360,6 +380,21 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_cli_import_skips_heavy_modules():
+    # -S: modules that site's startup hooks import would hide these
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mpart.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources'} "
+        "& set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mpart", "table", "8"],
@@ -380,7 +415,7 @@ def test_module_entry_point_subprocess():
 
 # Every shape here is cheap: m never exceeds 64 except 2**64 - 1 and
 # 2**64 + 2**63 + 5, upper halves, drawn for count only; the second has
-# about 1.8e498 partitions, so it is never drawn with --method enumerate.
+# about 1.8e498 partitions, which --method enumerate refuses to walk.
 _M_VALUES = st.sampled_from(["-1", "0", "x", "1.5"]) | st.integers(1, 64).map(str)
 _LIMITS = st.sampled_from([(), ("--limit", "0"), ("--limit", "3"), ("--limit", str(2**64))])
 _FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
@@ -404,7 +439,7 @@ _ARGV = st.one_of(
         st.just("count"),
         _M_VALUES | st.sampled_from([str(2**64 - 1), str(2**64 + 2**63 + 5)]),
         _METHODS,
-    ).filter(lambda argv: argv[1:] != (str(2**64 + 2**63 + 5), "--method", "enumerate")),
+    ),
     _argv(st.sampled_from(["table", "series"]), _M_VALUES),
 )
 

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from mpart.core import (
     DomainError,
     ExtensionRange,
+    PartBounds,
     Partition,
     can_extend,
     extension_range_m1,
@@ -20,7 +24,12 @@ from mpart.core import (
     largest_part_bounds,
     num_parts,
 )
-from mpart.enumeration import enumerate_m_partitions, oracle_is_weak, subset_sums
+from mpart.enumeration import (
+    SumReachability,
+    enumerate_m_partitions,
+    oracle_is_weak,
+    subset_sums,
+)
 
 part_lists = st.lists(st.integers(1, 64), min_size=1, max_size=12).map(sorted)
 
@@ -63,12 +72,12 @@ def test_partition_normalizes_and_caches_total():
     p = Partition([1, 2, 4])
     assert p.parts == (1, 2, 4)
     assert p.total == 7
-    assert p.n == 2
+    assert len(p) - 1 == 2  # index of the largest part
     assert p.largest == 4
     assert len(p) == 3
     assert list(p) == [1, 2, 4]
     assert str(p) == "1+2+4"
-    assert p.prefix_sums() == (1, 3, 7)
+    assert tuple(accumulate(p.parts)) == (1, 3, 7)
 
 
 @pytest.mark.parametrize("bad", [(), (0,), (-3, 1), (1, 3, 2)])
@@ -77,9 +86,56 @@ def test_partition_rejects_invalid(bad):
         Partition(tuple(bad))
 
 
+def test_partition_rejection_messages():
+    for bad, message in [
+        ((), "a partition needs at least one part"),
+        ((0, 1), "parts must be positive integers, got 0"),
+        ((1, 2, -1), "parts must be positive integers, got -1"),
+        ((1, 3, 2), "parts must be nondecreasing, got 2 after 3"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Partition(bad)
+        assert str(info.value) == message
+
+
 def test_partition_equality_ignores_cached_total():
     assert P(1, 1, 2) == Partition((1, 1, 2))
     assert P(1, 2) != P(1, 1)
+    assert hash(P(1, 1, 2)) == hash(Partition([1, 1, 2])) == hash(((1, 1, 2),))
+    assert P(1, 2) != (1, 2) and P(1, 2) != ExtensionRange(1, 2)
+    assert len({P(1, 2), P(1, 2), P(1, 1)}) == 2
+
+
+RECORDS = [P(1, 2, 4), PartBounds(5, 8), ExtensionRange(3, 5), subset_sums(P(2, 5))]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_survive_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+        assert hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+def test_record_repr_and_field_equality():
+    assert repr(P(1, 2, 4)) == "Partition(parts=(1, 2, 4), total=7)"
+    assert repr(PartBounds(5, 8)) == "PartBounds(lower=5, upper=8)"
+    assert repr(ExtensionRange(3, 5)) == "ExtensionRange(lo=3, hi=5)"
+    assert repr(subset_sums(P(2, 5))) == "SumReachability(total=7, bits=165)"
+    for cls in (PartBounds, ExtensionRange, SumReachability):
+        assert cls(3, 5) == cls(3, 5) and hash(cls(3, 5)) == hash(cls(3, 5))
+        assert cls(3, 5) != cls(3, 6) and cls(3, 5) != cls(4, 5)
+    assert PartBounds(3, 5) != ExtensionRange(3, 5)  # same fields, other class
 
 
 # ---------------------------------------------------------------- predicates

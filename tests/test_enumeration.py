@@ -117,7 +117,7 @@ def test_count_matches_stream():
 
 def test_zero_rejected():
     with pytest.raises(ValueError):
-        list(iter_m_partitions(0))
+        iter_m_partitions(0)  # at the call, before any iteration
     with pytest.raises(ValueError):
         count_by_enumeration(0)
 
