@@ -57,28 +57,32 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _blocks(M: int) -> Iterator[range]:
+def _blocks(first: int, last: int) -> Iterator[range]:
     # rows go out in blocks, as one write per row is half again as slow
-    for lo in range(1, M + 1, 4096):
-        yield range(lo, min(lo + 4096, M + 1))
+    for lo in range(first, last + 1, 4096):
+        yield range(lo, min(lo + 4096, last + 1))
+
+
+def _json_items(blocks: Iterator[list]) -> Iterator[str]:
+    # the items of one json.dumps list, written a block at a time: each
+    # block is encoded as a list with its brackets cut off
+    sep = ""
+    for items in blocks:
+        yield sep + json.dumps(items, separators=(", ", ": "))[1:-1]
+        sep = ", "
 
 
 def _table_rows(M: int, table: CountTable) -> Iterator[str]:
     # pinned format: header "m,a_m", no padding, newline-terminated last row
     yield "m,a_m\n"
-    for ms in _blocks(M):
+    for ms in _blocks(1, M):
         yield "".join(f"{m},{table[m]}\n" for m in ms)
 
 
 def _table_json(M: int, table: CountTable) -> Iterator[str]:
-    # the bytes of _emit_json({"kind": "table", "rows": [[m, a_m], ...]}),
-    # each block of rows encoded as a list with its brackets cut off
-    sep = ""
+    # the bytes of _emit_json({"kind": "table", "rows": [[m, a_m], ...]})
     yield '{"kind": "table", "rows": ['
-    for ms in _blocks(M):
-        rows = json.dumps([[m, _jint(table[m])] for m in ms], separators=(", ", ": "))
-        yield sep + rows[1:-1]
-        sep = ", "
+    yield from _json_items([[m, _jint(table[m])] for m in ms] for ms in _blocks(1, M))
     yield "]}\n"
 
 
@@ -211,23 +215,28 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _series_rows(J: int, bs: list[int], cs: list[int]) -> Iterator[str]:
+    yield "j,b_j,coeff,match\n"
+    for js in _blocks(0, J):
+        yield "".join(f"{j},{bs[j]},{cs[j]},{_bool(bs[j] == cs[j])}\n" for j in js)
+
+
+def _series_json(J: int, bs: list[int], cs: list[int]) -> Iterator[str]:
+    # the bytes of _emit_json({"kind": "series",
+    #     "rows": [[j, b_j, coeff], ...], "matches": [b_j == coeff, ...]})
+    rows = ([[j, _jint(bs[j]), _jint(cs[j])] for j in js] for js in _blocks(0, J))
+    yield '{"kind": "series", "rows": ['
+    yield from _json_items(rows)
+    yield '], "matches": ['
+    yield from _json_items([bs[j] == cs[j] for j in js] for js in _blocks(0, J))
+    yield "]}\n"
+
+
 def cmd_series(args) -> int:
-    series = BinarySeries()
-    bs = series.prefix(args.J)
+    bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
-    matches = [x == y for x, y in zip(bs, cs)]
-    if args.format == "json":
-        _emit_json(
-            {
-                "kind": "series",
-                "rows": [[j, _jint(bs[j]), _jint(cs[j])] for j in range(args.J + 1)],
-                "matches": matches,
-            }
-        )
-    else:
-        print("j,b_j,coeff,match")
-        for j in range(args.J + 1):
-            print(f"{j},{bs[j]},{cs[j]},{_bool(matches[j])}")
+    emit = _series_json if args.format == "json" else _series_rows
+    sys.stdout.writelines(emit(args.J, bs, cs))
     return 0
 
 

@@ -17,7 +17,7 @@ eventually wrap any fixed-width type.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from operator import sub
 
 from .core import DomainError, _require_positive
@@ -186,9 +186,17 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 
 
 # A fresh series appends its terms faster than halving computes b_j up to
-# about this j (each takes 0.6 to 0.9 ms at j = 2^12 on CPython 3.11), so
-# value() appends at most this many terms before it halves instead.
-_MAX_APPEND = 4096
+# about j = 9000, so value() appends at most this many terms before it
+# halves instead.  Medians of 31 calls on a fresh series, in ms (CPython
+# 3.11.7, 2 vCPUs):
+#
+#     j           2^12   2^13   2^14   2^15   2^16
+#     append      0.44   0.75   1.69   3.35   8.61
+#     halving     0.80   0.85   1.07   1.30   1.47
+_MAX_APPEND = 8192
+
+# BinarySeries._extend appends at most this many terms per block.
+_BLOCK = 4096
 
 
 def _b_prefix_sum(x: int) -> int:
@@ -229,7 +237,9 @@ def _b_prefix_sum(x: int) -> int:
 
 class BinarySeries:
     """Values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2),
-    over a cache of b_0, b_1, ... that grows only by appending.
+    over a cache of b_0, b_1, ... that grows only by appending.  Each step
+    b_(j//2) of a new term lies in the cached first half, so the cache grows
+    by whole blocks, each one running sum over those steps.
 
     b_j counts the partitions of 2j into powers of two and equals the x^j
     coefficient of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1; the test suite
@@ -241,7 +251,7 @@ class BinarySeries:
 
     def value(self, j: int) -> int:
         """b_j.  Read from the cache when it holds j; appended to it when at
-        most 4096 terms are missing; otherwise computed by halving in
+        most 8192 terms are missing; otherwise computed by halving in
         O(log^3 j) big-int steps, which answers without filling the cache."""
         if j - len(self._b) >= _MAX_APPEND:
             return _b_prefix_sum(j) - _b_prefix_sum(j - 1)
@@ -255,8 +265,17 @@ class BinarySeries:
         if j < 0:
             raise ValueError(f"series index must be nonnegative, got {j}")
         seq = self._b
-        while len(seq) <= j:
-            seq.append(seq[-1] + seq[len(seq) >> 1])
+        L = len(seq)
+        while L <= j:
+            # Terms L..hi-1 in one block: b_i - b_(i-1) = b_(i//2) is cached
+            # for all of them when hi <= 2L, and each cached b_t is the step
+            # at i = 2t and 2t+1 (only 2t+1 when L = 2t+1).  The block cap
+            # keeps the slice of steps to at most _BLOCK/2 + 1 entries.
+            hi = min(2 * L, j + 1, L + _BLOCK)
+            half = seq[L >> 1 : (hi + 1) >> 1]
+            steps = islice(chain.from_iterable(zip(half, half)), L & 1, None)
+            seq.extend(islice(accumulate(steps, initial=seq[-1]), 1, hi - L + 1))
+            L = hi
         return seq
 
 
@@ -272,18 +291,22 @@ def gf_coefficients(N: int) -> list[int]:
 
     Each factor (1 - x^(2^j))^-1 is one in-place strided accumulation on the
     truncated prefix; factors with 2^j > N are identities there and are
-    skipped.  The final (1-x)^-1 is a plain prefix sum.  Factor order is
-    immaterial (and tested as such).
+    skipped.  The factors go from the largest stride s = 2^floor(log2 N)
+    down to 1: before stride s, the product so far has terms only at
+    multiples of 2s, so the accumulation need visit only the multiples of
+    s.  That is about 2N big-int additions in all, where ascending strides
+    over the whole prefix take N * (floor(log2 N) + 1).  The final (1-x)^-1
+    is a plain prefix sum.  Factor order is immaterial (and tested as such).
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     c = [0] * (N + 1)
     c[0] = 1
-    step = 1
-    while step <= N:
-        for i in range(step, N + 1):
+    step = (1 << N.bit_length()) >> 1
+    while step:
+        for i in range(step, N + 1, step):
             c[i] += c[i - step]
-        step <<= 1
+        step >>= 1
     for i in range(1, N + 1):
         c[i] += c[i - 1]
     return c

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpart import cli
-from mpart.counting import BinarySeries, build_table
+from mpart.counting import BinarySeries, build_table, gf_coefficients
 from mpart.enumeration import count_by_enumeration
 
 
@@ -314,6 +314,35 @@ def test_series_json_big_values_are_decimal_strings(capsys):
     assert isinstance(payload["rows"][0][1], int)
     # round-trip: re-serializing the parsed payload is lossless
     assert json.loads(json.dumps(payload)) == payload
+
+
+@pytest.mark.parametrize("J", [0, 4095, 4096, 8200])
+def test_series_streams_the_bytes_of_one_dump(capsys, monkeypatch, J):
+    # rows go out in blocks of 4096; one coefficient made wrong on purpose
+    # shows that each row keeps its own match, across the block edge
+    bs = BinarySeries().prefix(J)
+    cs = gf_coefficients(J)
+    if J >= 4096:
+        cs[4096] += 1
+    monkeypatch.setattr(cli, "gf_coefficients", lambda n: list(cs))
+
+    def jint(v):
+        return v if v < 2**53 else str(v)
+
+    rc, out, _ = run_cli(capsys, "series", str(J))
+    assert rc == 0
+    lines = ["j,b_j,coeff,match"]
+    lines += [f"{j},{bs[j]},{cs[j]},{str(bs[j] == cs[j]).lower()}" for j in range(J + 1)]
+    assert out == "\n".join(lines) + "\n"
+    rc, out, _ = run_cli(capsys, "series", str(J), "--format", "json")
+    assert rc == 0
+    payload = {
+        "kind": "series",
+        "rows": [[j, jint(bs[j]), jint(cs[j])] for j in range(J + 1)],
+        "matches": [x == y for x, y in zip(bs, cs)],
+    }
+    assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
+    assert (False in payload["matches"]) == (J >= 4096)
 
 
 # ---------------------------------------------------------------- selftest
