@@ -38,7 +38,6 @@ from .counting import (
 from .enumeration import (
     SumReachability,
     count_by_enumeration,
-    enumerate_m_partitions,
     iter_m_partitions,
     oracle_is_weak,
     subset_sums,
@@ -63,7 +62,6 @@ __all__ = [
     "can_extend",
     "count_by_enumeration",
     "defect",
-    "enumerate_m_partitions",
     "extension_range_m1",
     "extension_range_m12",
     "generate_alg1",

@@ -1,15 +1,17 @@
 """Exhaustive enumeration of Mp(m) plus the subset-sum ground-truth oracle.
 
-The enumerator fixes the part count to num_parts(m) and walks positions left
-to right.  At each position the admissible values form one interval: at
-least the previous part, at most one plus the prefix sum, and clamped so the
-remaining positions can still land exactly on m (remaining parts at maximal
-growth must cover the residue, at minimal repetition must not overshoot).
-That feasibility clamp is not an optimization nicety -- without it the
-search degrades by orders of magnitude by m around 2**10.
+One search finds Mp(m).  It fixes the part count to num_parts(m) and walks
+positions left to right.  At each position the admissible values form one
+interval: at least the previous part, at most one plus the prefix sum, and
+clamped so the remaining positions can still land exactly on m (remaining
+parts at maximal growth must cover the residue, at minimal repetition must
+not overshoot).  That feasibility clamp is not an optimization nicety --
+without it the search degrades by orders of magnitude by m around 2**10.
 
-Partitions stream out in ascending lexicographic order, which the golden
-tests rely on.
+The search stops at the second-largest part, whose interval also fixes the
+largest.  The cursor expands each such interval into partitions, which
+stream out in ascending lexicographic order (the golden tests rely on it);
+the counter only adds up the interval lengths.
 
 The oracle side is deliberately naive: a dense reachability bitmask over
 0..total built with one shifted OR per part.  It knows nothing about the
@@ -39,10 +41,6 @@ class SumReachability(_Record):
 
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and (self.bits >> s) & 1 == 1
-
-    @property
-    def reachable(self) -> frozenset[int]:
-        return frozenset(s for s in range(self.total + 1) if (self.bits >> s) & 1)
 
     def is_complete(self) -> bool:
         """True iff every sum 0..total is attainable."""
@@ -90,15 +88,38 @@ def iter_m_partitions(m: int) -> Iterator[Partition]:
 
 
 def _walk(m: int) -> Iterator[Partition]:
-    # One frame, no recursion: buf holds the parts chosen so far, his[i]
-    # the top of position i's interval and sums[i] the sum before it.  The
-    # search stops at position n - 1: each value v there fixes the last
-    # part m - s - v, which the clamps at n - 1 already keep in range (as
-    # count_by_enumeration counts).
-    n = m.bit_length() - 1
-    if n == 0:
+    # slots n - 1 and n take v and rest - v (buf[-2] would store slower)
+    if m == 1:
         yield Partition((1,))
         return
+    n = m.bit_length() - 1
+    for buf, lo, hi, rest in _leaves(m):
+        for v in range(lo, hi + 1):
+            buf[n - 1] = v
+            buf[n] = rest - v
+            yield Partition(buf)
+
+
+def count_by_enumeration(m: int) -> int:
+    """|Mp(m)| by direct search, no recurrence involved.
+
+    Sums the sizes of the leaf intervals of the search the cursor expands,
+    so no partition is ever materialized.
+    """
+    _require_positive(m)
+    if m == 1:
+        return 1
+    return sum(hi - lo + 1 for _, lo, hi, _ in _leaves(m))
+
+
+def _leaves(m: int) -> Iterator[tuple[list[int], int, int, int]]:
+    # The one search over Mp(m), m >= 2, in one frame: buf holds the parts
+    # chosen so far, his[i] the top of position i's interval and sums[i]
+    # the sum s before it.  It stops at position n - 1, the second-largest
+    # part, and yields buf, that position's nonempty interval lo..hi and
+    # rest = m - s: each v there fixes the last part rest - v, which the
+    # clamps keep in range.  Consumers may fill buf[n - 1] and buf[n] only.
+    n = m.bit_length() - 1
     # position i has t = n - i parts after it: besides last <= v <= 1 + s,
     # its clamps are ceil((m + 1) / 2^t) - 1 - s <= v <= (m - s) // (t + 1)
     floors = [-(-(m + 1) >> (n - i)) - 1 for i in range(n)]
@@ -110,16 +131,12 @@ def _walk(m: int) -> Iterator[Partition]:
     while True:
         lo = max(last, floors[i] - s)
         hi = min(1 + s, (m - s) // spans[i])
-        if i == n - 1:
-            rest = m - s
-            for v in range(lo, hi + 1):
-                buf[i] = v
-                buf[n] = rest - v
-                yield Partition(buf)
-        elif lo <= hi:
-            buf[i], his[i], sums[i] = lo, hi, s
-            i, s, last = i + 1, s + lo, lo
-            continue
+        if lo <= hi:
+            if i < n - 1:
+                buf[i], his[i], sums[i] = lo, hi, s
+                i, s, last = i + 1, s + lo, lo
+                continue
+            yield buf, lo, hi, m - s
         # back up to the deepest position that can still grow, and grow it
         i -= 1
         while i >= 0 and buf[i] == his[i]:
@@ -130,38 +147,3 @@ def _walk(m: int) -> Iterator[Partition]:
         buf[i] = last
         s = sums[i] + last
         i += 1
-
-
-def enumerate_m_partitions(m: int) -> list[Partition]:
-    """Mp(m) collected into a list (same order as :func:`iter_m_partitions`)."""
-    return list(iter_m_partitions(m))
-
-
-def count_by_enumeration(m: int) -> int:
-    """|Mp(m)| by direct search, no recurrence involved.
-
-    Uses the same interval clamps as the cursor, but never materializes
-    partitions, and collapses the two final positions to arithmetic: once
-    the first n-1 parts are fixed, the valid (second-largest, largest)
-    completions form a single interval, counted in O(1).  Tests pin its
-    agreement with the cursor.
-    """
-    _require_positive(m)
-    n = m.bit_length() - 1
-    if n == 0:
-        return 1
-
-    def walk(i: int, s: int, last: int) -> int:
-        t = n - i
-        lo = max(last, -(-(m + 1) // (1 << t)) - s - 1)
-        hi = min(1 + s, (m - s) // (t + 1))
-        if lo > hi:
-            return 0
-        if i == n - 1:
-            return hi - lo + 1
-        total = 0
-        for v in range(lo, hi + 1):
-            total += walk(i + 1, s + v, v)
-        return total
-
-    return walk(0, 0, 1)

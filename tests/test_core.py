@@ -26,7 +26,7 @@ from mpart.core import (
 )
 from mpart.enumeration import (
     SumReachability,
-    enumerate_m_partitions,
+    iter_m_partitions,
     oracle_is_weak,
     subset_sums,
 )
@@ -308,7 +308,7 @@ def test_truncation_sums_of_actual_partitions_fill_the_range():
     # the advertised interval
     for m in (16, 25, 40, 100):
         r = extension_range_m1(m)
-        seen = {p.total - p.largest for p in enumerate_m_partitions(m)}
+        seen = {p.total - p.largest for p in iter_m_partitions(m)}
         assert seen == set(range(r.lo, r.hi + 1)), m
 
 
@@ -330,7 +330,7 @@ def test_can_extend_errors():
 
 def test_can_extend_agrees_with_direct_check_exhaustively():
     for m in range(1, 65):
-        for p in enumerate_m_partitions(m):
+        for p in iter_m_partitions(m):
             for r in range(p.largest, p.total + 2):
                 want = is_m_partition(Partition(p.parts + (r,)))
                 assert can_extend(p, r) == want, (p, r)
@@ -348,7 +348,7 @@ def test_can_extend_agrees_with_direct_check_sampled(m, data):
 
 def test_prefix_closure_small():
     for m in range(1, 65):
-        for p in enumerate_m_partitions(m):
+        for p in iter_m_partitions(m):
             for j in range(len(p)):
                 assert is_m_partition(Partition(p.parts[: j + 1])), (p, j)
 
@@ -362,7 +362,7 @@ def test_weak_predicate_matches_oracle_on_random_lists():
 
 
 def test_predicates_are_pure_under_threads():
-    pool = [p for m in range(1, 50) for p in enumerate_m_partitions(m)]
+    pool = [p for m in range(1, 50) for p in iter_m_partitions(m)]
     serial = [is_m_partition(p) for p in pool]
     with ThreadPoolExecutor(max_workers=8) as ex:
         threaded = list(ex.map(is_m_partition, pool))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mpart.core import Partition, is_m_partition, is_weak_m_partition, num_parts
 from mpart.enumeration import (
     count_by_enumeration,
-    enumerate_m_partitions,
     iter_m_partitions,
     oracle_is_weak,
     subset_sums,
@@ -26,7 +25,7 @@ def P(*parts):
 
 def test_subset_sums_examples():
     full = subset_sums(P(1, 2, 4))
-    assert full.reachable == frozenset(range(8))
+    assert all(x in full for x in range(8))
     assert full.is_complete()
 
     gap = subset_sums(P(1, 2, 4, 8, 19, 19))
@@ -41,7 +40,7 @@ def test_subset_sums_membership_endpoints():
     s = subset_sums(P(2, 5))
     assert 0 in s and s.total in s
     assert -1 not in s and s.total + 1 not in s
-    assert s.reachable == frozenset({0, 2, 5, 7})
+    assert [x for x in range(s.total + 1) if x in s] == [0, 2, 5, 7]
 
 
 def test_oracle_examples():
@@ -66,13 +65,13 @@ def test_oracle_agrees_with_inequality_predicate(parts):
 
 
 def test_enumerate_golden_small():
-    assert [p.parts for p in enumerate_m_partitions(8)] == [
+    assert [p.parts for p in iter_m_partitions(8)] == [
         (1, 1, 2, 4),
         (1, 1, 3, 3),
         (1, 2, 2, 3),
     ]
-    assert [p.parts for p in enumerate_m_partitions(12)] == [(1, 2, 3, 6), (1, 2, 4, 5)]
-    assert [p.parts for p in enumerate_m_partitions(1)] == [(1,)]
+    assert [p.parts for p in iter_m_partitions(12)] == [(1, 2, 3, 6), (1, 2, 4, 5)]
+    assert [p.parts for p in iter_m_partitions(1)] == [(1,)]
 
 
 def test_enumerate_is_lexicographically_sorted():
@@ -147,13 +146,15 @@ def test_completeness_against_generate_and_test():
         return [c for c in out if oracle_is_weak(Partition(c))]
 
     for m in range(1, 65):
-        assert [p.parts for p in enumerate_m_partitions(m)] == naive(m), m
+        expected = naive(m)
+        assert [p.parts for p in iter_m_partitions(m)] == expected, m
+        assert count_by_enumeration(m) == len(expected), m
 
 
 def test_weak_predicate_matches_oracle_on_near_misses():
     # enumerated partitions plus single-part bumps around them
     rng = random.Random(4021)
-    pool = [p for m in range(2, 97) for p in enumerate_m_partitions(m)]
+    pool = [p for m in range(2, 97) for p in iter_m_partitions(m)]
     for p in rng.sample(pool, 400):
         for q in _mutations(p, rng):
             assert is_weak_m_partition(q) == oracle_is_weak(q), q
