@@ -193,11 +193,17 @@ def cmd_count(args) -> int:
     # "recurrence" resolves through a, which answers an upper half past the
     # table by the closed form; the printed label stays the method asked
     # for.  genfun is a DomainError outside the upper-half window.
-    if method == "enumerate" and (a_m := a(m)) > _MAX_ENUMERATED:
-        raise DomainError(
-            f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
-            f"and a_m = {a_m}; use --method recurrence"
-        )
+    if method == "enumerate":
+        # a_m >= a_(m >> s), as appending ceil(m/2) extends Mp(m//2) into Mp(m)
+        s = 0 if in_upper_half(m) else max(m.bit_length() - 12, 0)
+        if (a_m := a(m >> s)) <= _MAX_ENUMERATED and s:
+            s, a_m = 0, a(m)  # the bound below 2^12 does not settle it
+        if a_m > _MAX_ENUMERATED:
+            bound = f"a_m >= a_{m >> s}" if s else "a_m"
+            raise DomainError(
+                f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
+                f"and {bound} = {a_m}; use --method recurrence"
+            )
     value = _COUNTERS[method](m)
     if args.format == "json":
         _emit_json({"kind": "count", "m": _jint(m), "count": _jint(value), "method": method})
@@ -258,18 +264,22 @@ def cmd_selftest(args) -> int:
     return 0 if all(groups.values()) else 1
 
 
+def _int_at_least(value: str, low: int, what: str) -> int:
+    # argparse would word a ValueError by this type function's name
+    try:
+        if (n := int(value)) >= low:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+
+
 def _positive(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
+    return _int_at_least(value, 1, "a positive integer")
 
 
 def _nonnegative(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
-    return n
+    return _int_at_least(value, 0, "nonnegative")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -149,7 +149,7 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
         lo = m >> 1
         hi = min((m + (1 << (n - 1)) - 1) >> 1, (1 << n) - 1)
         val = S[hi] - S[lo - 1]
-        m1s = max(lo, (2 * m + 3) // 3)  # first m1 with a nonempty inner range
+        m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
         if m1s <= hi:
             # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11, so t0 and
             # i0 are >= 5: no index is negative (Python would wrap it silently).
@@ -195,9 +195,6 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 #     halving     0.80   0.85   1.07   1.30   1.47
 _MAX_APPEND = 8192
 
-# BinarySeries._extend appends at most this many terms per block.
-_BLOCK = 4096
-
 
 def _b_prefix_sum(x: int) -> int:
     """b_0 + ... + b_x for x >= 0, in O(log^3 x) big-int steps.
@@ -238,8 +235,8 @@ def _b_prefix_sum(x: int) -> int:
 class BinarySeries:
     """Values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2),
     over a cache of b_0, b_1, ... that grows only by appending.  Each step
-    b_(j//2) of a new term lies in the cached first half, so the cache grows
-    by whole blocks, each one running sum over those steps.
+    b_(j//2) of a new term lies in the cached first half, so the cache at
+    most doubles per block, each block one running sum over those steps.
 
     b_j counts the partitions of 2j into powers of two and equals the x^j
     coefficient of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1; the test suite
@@ -269,9 +266,8 @@ class BinarySeries:
         while L <= j:
             # Terms L..hi-1 in one block: b_i - b_(i-1) = b_(i//2) is cached
             # for all of them when hi <= 2L, and each cached b_t is the step
-            # at i = 2t and 2t+1 (only 2t+1 when L = 2t+1).  The block cap
-            # keeps the slice of steps to at most _BLOCK/2 + 1 entries.
-            hi = min(2 * L, j + 1, L + _BLOCK)
+            # at i = 2t and 2t+1 (only 2t+1 when L = 2t+1).
+            hi = min(2 * L, j + 1)
             half = seq[L >> 1 : (hi + 1) >> 1]
             steps = islice(chain.from_iterable(zip(half, half)), L & 1, None)
             seq.extend(islice(accumulate(steps, initial=seq[-1]), 1, hi - L + 1))

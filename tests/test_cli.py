@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart import cli
+from mpart import cli, counting
 from mpart.counting import BinarySeries, build_table, gf_coefficients
 from mpart.enumeration import count_by_enumeration
 
@@ -157,9 +157,16 @@ def test_enum_json(capsys):
 
 
 def test_enum_rejects_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["enum", "0"])
-    assert exc.value.code == 2
+    for argv, msg in (
+        (["enum", "0"], "argument m: must be a positive integer, got 0"),
+        # not an int either: worded as the range, not by the type function's name
+        (["enum", "1e3"], "argument m: must be a positive integer, got 1e3"),
+        (["enum", "3", "--limit", "x"], "argument --limit: must be nonnegative, got x"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"mpart enum: error: {msg}\n")
 
 
 def test_enum_limit_above_sys_maxsize_lists_everything(capsys):
@@ -234,6 +241,35 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", 114)
     rc, out, _ = run_cli(capsys, "count", "100", "--method", "enumerate")
     assert rc == 0 and "a_m: 114" in out
+
+
+def test_count_enumerate_refuses_a_far_lower_half_on_a_small_table(monkeypatch, capsys):
+    def no_walk(m):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setitem(cli._COUNTERS, "enumerate", no_walk)
+    real = counting.build_table
+    a_2048, a_4097 = real(2048)[2048], real(4097)[4097]
+
+    # a bound within the budget falls back to the exact a_m
+    budget = cli._MAX_ENUMERATED
+    monkeypatch.setattr(cli, "_MAX_ENUMERATED", a_2048)
+    rc, out, err = run_cli(capsys, "count", "4097", "--method", "enumerate")
+    assert rc == 1 and out == ""
+    assert f"and a_m = {a_4097};" in err
+    monkeypatch.setattr(cli, "_MAX_ENUMERATED", budget)
+
+    # 2^64 + 5 >> 53 = 2048: a_m >= a_2048, from a table of 2048 entries
+    def small_only(M, table=None):
+        if M > 4096:
+            raise AssertionError(f"a table of {M} entries")
+        return real(M, table)
+
+    monkeypatch.setattr(counting, "build_table", small_only)
+    rc, out, err = run_cli(capsys, "count", str(2**64 + 5), "--method", "enumerate")
+    assert rc == 1 and out == ""
+    assert f"and a_m >= a_2048 = {a_2048};" in err
+    assert "--method recurrence" in err
 
 
 def test_count_json(capsys):
@@ -424,6 +460,21 @@ def test_cli_import_skips_heavy_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_modules_import_only_the_modules_they_use():
+    # -S as above; the package itself imports none of its modules
+    src = str(Path(cli.__file__).parents[1])
+    show = "print(sorted(m for m in sys.modules if m.startswith('mpart.')))"
+    code = (
+        f"import sys; sys.path.insert(0, sys.argv[1]); import mpart.core; {show}; "
+        f"import mpart.counting; {show}"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['mpart.core']\n['mpart.core', 'mpart.counting']\n"
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mpart", "table", "8"],
@@ -444,7 +495,10 @@ def test_module_entry_point_subprocess():
 
 # Every shape here is cheap: m never exceeds 64 except 2**64 - 1 and
 # 2**64 + 2**63 + 5, upper halves, drawn for count only; the second has
-# about 1.8e498 partitions, which --method enumerate refuses to walk.
+# about 1.8e498 partitions, which --method enumerate refuses to walk.  The
+# lower half 2**64 + 5 is drawn only with --method enumerate, which refuses
+# it on a bound from a table below 2**12; recurrence or auto would build a
+# table up to m.
 _M_VALUES = st.sampled_from(["-1", "0", "x", "1.5"]) | st.integers(1, 64).map(str)
 _LIMITS = st.sampled_from([(), ("--limit", "0"), ("--limit", "3"), ("--limit", str(2**64))])
 _FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
@@ -469,6 +523,7 @@ _ARGV = st.one_of(
         _M_VALUES | st.sampled_from([str(2**64 - 1), str(2**64 + 2**63 + 5)]),
         _METHODS,
     ),
+    _argv(st.just("count"), st.just(str(2**64 + 5)), st.just(("--method", "enumerate"))),
     _argv(st.sampled_from(["table", "series"]), _M_VALUES),
 )
 

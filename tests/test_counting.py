@@ -131,6 +131,12 @@ def test_build_table_extension_never_rewrites(table14):
     assert list(table.values()) == [table14[m] for m in range(1, 601)]
 
 
+def test_a_is_at_least_a_of_half_m(table14):
+    # appending ceil(m/2) extends every M-partition of m//2; the cli refuses a
+    # far --method enumerate on this bound
+    assert all(table14[m] >= table14[m // 2] for m in range(2, (1 << 14) + 1))
+
+
 def test_dense_and_sparse_evaluators_agree(table14):
     for m in (*range(1, (1 << 10) + 1), 2000, 4097):
         assert recurrence_oracle(m) == table14[m], m
