@@ -157,6 +157,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    _require_table_fits(args.m)
     # the walk stops after --limit items (islice caps its bound at
     # sys.maxsize); the full count comes from the counting engine
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
@@ -176,6 +177,18 @@ def cmd_enum(args) -> int:
             print(p)
         print(f"count: {count}")
     return 0
+
+
+# Lower-half count and enum build no larger table: 1.5 GiB at 190 B an entry.
+_MAX_TABLE = 2**23
+
+
+def _require_table_fits(m: int) -> None:
+    if m > _MAX_TABLE and not in_upper_half(m):
+        raise DomainError(
+            f"a lower-half m needs a table of {m} entries, about {m * 190 // 10**6} MB; "
+            f"count and enum build at most {_MAX_TABLE}"
+        )
 
 
 _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
@@ -204,6 +217,8 @@ def cmd_count(args) -> int:
                 f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
                 f"and {bound} = {a_m}; use --method recurrence"
             )
+    if method == "recurrence":
+        _require_table_fits(m)
     value = _COUNTERS[method](m)
     if args.format == "json":
         _emit_json({"kind": "count", "m": _jint(m), "count": _jint(value), "method": method})
@@ -348,6 +363,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "format", None) == "csv" and args.command != "table":
         print("error: --format csv is only supported by the table command", file=sys.stderr)
         return 2
+    # parse_args kept the 4300-digit int-to-str limit; counts print past it
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except DomainError as exc:
@@ -356,6 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def run() -> None:

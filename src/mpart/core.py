@@ -35,13 +35,19 @@ def num_parts(m: int) -> int:
 class _Record:
     """Base of the immutable slotted records.
 
-    A record's fields are its ``__slots__``, set once in ``__init__``
-    through ``object.__setattr__`` or a slot's ``__set__``.  Equality,
-    hashing, copy and pickle all go through ``_args()``, the constructor's
-    arguments, so pickle rebuilds a record by calling its class.
+    A record's fields are its ``__slots__``, set once in ``__init__``: this
+    one takes one positional argument per field, in ``__slots__`` order.
+    Equality, hashing, copy and pickle all go through ``_args()``, the
+    constructor's arguments, so pickle rebuilds a record by calling its class.
     """
 
     __slots__ = ()
+
+    def __init__(self, *args) -> None:
+        if len(args) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, args):
+            object.__setattr__(self, name, value)
 
     def _args(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -190,10 +196,6 @@ class PartBounds(_Record):
 
     __slots__ = ("lower", "upper")
 
-    def __init__(self, lower: int, upper: int) -> None:
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
 
 def largest_part_bounds(m: int) -> PartBounds:
     """Largest-part interval for M-partitions of m (m >= 2):
@@ -215,10 +217,6 @@ class ExtensionRange(_Record):
     """Closed integer interval; emptiness (lo > hi) is an ordinary value."""
 
     __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int) -> None:
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     @property
     def is_empty(self) -> bool:
@@ -258,16 +256,3 @@ def extension_range_m12(m1: int, m: int) -> ExtensionRange:
     if m1 not in extension_range_m1(m):
         raise DomainError(f"m1={m1} is not a one-step truncation sum of m={m}")
     return ExtensionRange(m1 >> 1, 2 * m1 - m - 1)
-
-
-def can_extend(p: Partition, r: int) -> bool:
-    """Whether appending r to the M-partition p gives an M-partition of
-    total + r.  Three comparisons, no re-verification from scratch:
-
-        largest <= r,   r <= total + 1,   total + r >= 2**len(p).
-    """
-    _require_positive(r, "r")
-    if not is_m_partition(p):
-        raise DomainError("can_extend needs an M-partition")
-    m = p.total
-    return p.parts[-1] <= r <= m + 1 and m + r >= 1 << len(p.parts)

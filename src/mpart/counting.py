@@ -318,22 +318,6 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
     return b(_series_index(m), series)
 
 
-def defect(
-    m: int,
-    table: CountTable | None = None,
-    series: BinarySeries | None = None,
-) -> int:
-    """How far the series overshoots the true count:
-
-        defect(m) = b_floor(k/2) - a_m,   k = 2^(n+1) - 1 - m.
-
-    Zero on every upper-half window; positive on the lower halves, where no
-    generating function is known.  defect(1) = b_0 - a_1 = 0.
-    """
-    _require_positive(m)
-    return b(_series_index(m), series) - a(m, table)
-
-
 def a_even_pairing_check(m: int, table: CountTable | None = None) -> bool:
     """Whether a_m == a_(m+1); contractually always true for even m with
     2^n + 2^(n-1) <= m < 2^(n+1) (both upper-half sums start at the same

@@ -35,10 +35,6 @@ class SumReachability(_Record):
 
     __slots__ = ("total", "bits")
 
-    def __init__(self, total: int, bits: int) -> None:
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "bits", bits)
-
     def __contains__(self, s: int) -> bool:
         return 0 <= s <= self.total and (self.bits >> s) & 1 == 1
 

@@ -243,6 +243,18 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
     assert rc == 0 and "a_m: 114" in out
 
 
+def _allow_small_tables_only(monkeypatch):
+    # a refusal that builds the table it refuses fails fast, not out of memory
+    real = counting.build_table
+
+    def small_only(M, table=None):
+        if M > 4096:
+            raise AssertionError(f"a table of {M} entries")
+        return real(M, table)
+
+    monkeypatch.setattr(counting, "build_table", small_only)
+
+
 def test_count_enumerate_refuses_a_far_lower_half_on_a_small_table(monkeypatch, capsys):
     def no_walk(m):
         raise AssertionError("the walk started")
@@ -260,16 +272,58 @@ def test_count_enumerate_refuses_a_far_lower_half_on_a_small_table(monkeypatch, 
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", budget)
 
     # 2^64 + 5 >> 53 = 2048: a_m >= a_2048, from a table of 2048 entries
-    def small_only(M, table=None):
-        if M > 4096:
-            raise AssertionError(f"a table of {M} entries")
-        return real(M, table)
-
-    monkeypatch.setattr(counting, "build_table", small_only)
+    _allow_small_tables_only(monkeypatch)
     rc, out, err = run_cli(capsys, "count", str(2**64 + 5), "--method", "enumerate")
     assert rc == 1 and out == ""
     assert f"and a_m >= a_2048 = {a_2048};" in err
     assert "--method recurrence" in err
+
+
+def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, capsys):
+    # 130 is a lower half (its binade's upper half starts at 191); the cap
+    # is inclusive, and upper halves and --method enumerate build no table
+    monkeypatch.setattr(cli, "_MAX_TABLE", 129)
+    refusal = (
+        "error: a lower-half m needs a table of 130 entries, about 0 MB; "
+        "count and enum build at most 129\n"
+    )
+    for argv in (["count", "130"], ["count", "130", "--method", "recurrence"], ["enum", "130"]):
+        assert run_cli(capsys, *argv, "--format", "json") == (1, "", refusal), argv
+    for m, method in (("130", "enumerate"), ("200", "recurrence")):
+        assert run_cli(capsys, "count", m, "--method", method)[0] == 0, m
+    monkeypatch.setattr(cli, "_MAX_TABLE", 130)
+    assert run_cli(capsys, "count", "130")[:2] == (0, "m: 130\na_m: 15459\nmethod: recurrence\n")
+    assert run_cli(capsys, "enum", "130", "--limit", "0")[:2] == (0, "count: 15459\n")
+
+    # 2^64 + 5 at the real cap, refused before any table is built
+    monkeypatch.setattr(cli, "_MAX_TABLE", 2**23)
+    _allow_small_tables_only(monkeypatch)
+    for argv in (["count", str(2**64 + 5)], ["enum", str(2**64 + 5), "--limit", "1"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1 and out == "", argv
+        assert f"a table of {2**64 + 5} entries, about 3504881374004814 MB;" in err
+
+
+def test_counts_print_past_the_int_to_str_digit_limit(monkeypatch, capsys):
+    digits = "1" + "0" * 5000  # 10**5000, longer than the 4300-digit default
+    big = 10**5000
+    monkeypatch.setitem(cli._COUNTERS, "genfun", lambda m: big)
+    monkeypatch.setattr(cli, "a", lambda m: big)
+    text = f"m: 100\na_m: {digits}\nmethod: genfun\n"
+    assert run_cli(capsys, "count", "100", "--method", "genfun") == (0, text, "")
+    rc, out, _ = run_cli(capsys, "count", "100", "--method", "genfun", "--format", "json")
+    assert rc == 0 and json.loads(out)["count"] == digits
+    rc, out, _ = run_cli(capsys, "enum", "40", "--limit", "1")
+    assert rc == 0 and out == f"1+1+3+5+10+20\ncount: {digits}\n"
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return  # an interpreter with no limit
+    limit = sys.get_int_max_str_digits()
+    # main restores the limit, and still reads the arguments under it
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", "1" * 4301])
+    assert info.value.code == 2 and capsys.readouterr().out == ""
+    run_cli(capsys, "count", "100", "--method", "genfun")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_count_json(capsys):
@@ -493,12 +547,13 @@ def test_module_entry_point_subprocess():
 
 # ---------------------------------------------------------------- argument fuzz
 
-# Every shape here is cheap: m never exceeds 64 except 2**64 - 1 and
-# 2**64 + 2**63 + 5, upper halves, drawn for count only; the second has
-# about 1.8e498 partitions, which --method enumerate refuses to walk.  The
-# lower half 2**64 + 5 is drawn only with --method enumerate, which refuses
-# it on a bound from a table below 2**12; recurrence or auto would build a
-# table up to m.
+# Every shape here is cheap: m never exceeds 64 except for three values.
+# count draws the upper halves 2**64 - 1 and 2**64 + 2**63 + 5 (about
+# 1.8e498 partitions, which --method enumerate refuses to walk) and the
+# lower half 2**64 + 5, which every method refuses: enumerate on a bound
+# from a table below 2**12, the others past _MAX_TABLE.  enum draws 2**64 + 5
+# too, refused past _MAX_TABLE; an upper-half m stays out of enum, whose
+# walk without --limit would not end.
 _M_VALUES = st.sampled_from(["-1", "0", "x", "1.5"]) | st.integers(1, 64).map(str)
 _LIMITS = st.sampled_from([(), ("--limit", "0"), ("--limit", "3"), ("--limit", str(2**64))])
 _FORMATS = st.sampled_from([(), ("--format", "json"), ("--format", "csv")])
@@ -517,13 +572,12 @@ def _argv(*pieces):
 _ARGV = st.one_of(
     _argv(st.just("verify"), st.lists(_M_VALUES, max_size=4).map(tuple)),
     _argv(st.just("gen"), _M_VALUES, st.sampled_from([(), ("--alg", "2"), ("--alg", "3")])),
-    _argv(st.just("enum"), _M_VALUES, _LIMITS),
+    _argv(st.just("enum"), _M_VALUES | st.just(str(2**64 + 5)), _LIMITS),
     _argv(
         st.just("count"),
-        _M_VALUES | st.sampled_from([str(2**64 - 1), str(2**64 + 2**63 + 5)]),
+        _M_VALUES | st.sampled_from([str(2**64 - 1), str(2**64 + 2**63 + 5), str(2**64 + 5)]),
         _METHODS,
     ),
-    _argv(st.just("count"), st.just(str(2**64 + 5)), st.just(("--method", "enumerate"))),
     _argv(st.sampled_from(["table", "series"]), _M_VALUES),
 )
 

