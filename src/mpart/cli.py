@@ -156,26 +156,29 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _batches(items: Iterator, size: int = 4096) -> Iterator[list]:
+    while batch := list(islice(items, size)):
+        yield batch
+
+
 def cmd_enum(args) -> int:
     _require_table_fits(args.m)
+    # the full count comes from the counting engine, before the first byte;
     # the walk stops after --limit items (islice caps its bound at
-    # sys.maxsize); the full count comes from the counting engine
-    limit = None if args.limit is None else min(args.limit, sys.maxsize)
-    shown = list(islice(iter_m_partitions(args.m), limit))
+    # sys.maxsize) and goes out a block at a time, as it is walked
     count = a(args.m)
+    limit = None if args.limit is None else min(args.limit, sys.maxsize)
+    batches = _batches(islice(iter_m_partitions(args.m), limit))
+    out = sys.stdout
     if args.format == "json":
-        _emit_json(
-            {
-                "kind": "enum",
-                "m": _jint(args.m),
-                "parts": [[_jint(q) for q in p.parts] for p in shown],
-                "count": _jint(count),
-            }
-        )
+        # the bytes of _emit_json({"kind": "enum", "m": m,
+        #     "parts": [[part, ...], ...], "count": count})
+        out.write(f'{{"kind": "enum", "m": {json.dumps(_jint(args.m))}, "parts": [')
+        out.writelines(_json_items([[_jint(q) for q in p.parts] for p in ps] for ps in batches))
+        out.write(f'], "count": {json.dumps(_jint(count))}}}\n')
     else:
-        for p in shown:
-            print(p)
-        print(f"count: {count}")
+        out.writelines("".join(f"{p}\n" for p in ps) for ps in batches)
+        out.write(f"count: {count}\n")
     return 0
 
 
@@ -193,8 +196,9 @@ def _require_table_fits(m: int) -> None:
 
 _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
 
-# The most partitions --method enumerate walks: a few seconds at the
-# walk's 35M partitions a second (Python 3.11, a 2 vCPU host).
+# The most partitions --method enumerate counts: a_3470 = 98547380 takes
+# about 0.22 s, some 450M partitions a second, as the counter visits no
+# leaf (Python 3.11, a 2 vCPU host).
 _MAX_ENUMERATED = 10**8
 
 

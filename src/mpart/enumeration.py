@@ -8,10 +8,12 @@ parts at maximal growth must cover the residue, at minimal repetition must
 not overshoot).  That feasibility clamp is not an optimization nicety --
 without it the search degrades by orders of magnitude by m around 2**10.
 
-The search stops at the second-largest part, whose interval also fixes the
-largest.  The cursor expands each such interval into partitions, which
-stream out in ascending lexicographic order (the golden tests rely on it);
-the counter only adds up the interval lengths.
+The cursor stops the search at the second-largest part, whose interval also
+fixes the largest, and expands each such interval into partitions, which
+stream out in ascending lexicographic order (the golden tests rely on it).
+The counter stops one position earlier, at the third-largest part: below
+each of its intervals the last two parts are the lattice points of a
+polygon, which it counts in closed form without visiting them.
 
 The oracle side is deliberately naive: a dense reachability bitmask over
 0..total built with one shifted OR per part.  It knows nothing about the
@@ -89,7 +91,7 @@ def _walk(m: int) -> Iterator[Partition]:
         yield Partition((1,))
         return
     n = m.bit_length() - 1
-    for buf, lo, hi, rest in _leaves(m):
+    for buf, lo, hi, rest in _leaves(m, n - 1):
         for v in range(lo, hi + 1):
             buf[n - 1] = v
             buf[n] = rest - v
@@ -99,22 +101,55 @@ def _walk(m: int) -> Iterator[Partition]:
 def count_by_enumeration(m: int) -> int:
     """|Mp(m)| by direct search, no recurrence involved.
 
-    Sums the sizes of the leaf intervals of the search the cursor expands,
-    so no partition is ever materialized.
+    Walks the cursor's search down to the third-largest part and counts the
+    last two parts below each of its intervals in closed form, so no
+    partition, nor any interval of the second-largest part, is visited.
     """
     _require_positive(m)
-    if m == 1:
+    if m < 4:
         return 1
-    return sum(hi - lo + 1 for _, lo, hi, _ in _leaves(m))
+    stop = m.bit_length() - 3
+    return sum(_last_two(m, m - rest, lo, hi) for _, lo, hi, rest in _leaves(m, stop))
 
 
-def _leaves(m: int) -> Iterator[tuple[list[int], int, int, int]]:
+def _last_two(m: int, s: int, lo: int, hi: int) -> int:
+    # The partitions below an interval lo..hi of the third-largest part,
+    # where s is the sum of the parts before it.  For each value v there,
+    # the second-largest part ranges over
+    # max(v, m//2 - s - v) .. min(1 + s + v, (m - s - v) // 2) and fixes
+    # the largest.  That interval is never empty, by the clamps on v at its
+    # own position: v <= (m - s) // 3 and s + v >= ceil((m + 1) / 4) - 1.
+    # The interval lengths are summed by pieces: the top is 1 + s + v up to
+    # v = p and (m - s - v) // 2 after it; the bottom is m//2 - s - v
+    # before v = q and v from it on.
+    p = (m - 3 * s - 2) // 3
+    q = -(-(m // 2 - s) // 2)
+    total = hi - lo + 1
+    if lo <= (b := min(hi, p)):
+        total += (b - lo + 1) * (2 + 2 * s + lo + b) // 2
+    if (a := max(lo, p + 1)) <= hi:
+        # the sum of k // 2 over k = m - s - hi .. m - s - a
+        total += _half_sums(m - s - a) - _half_sums(m - s - hi - 1)
+    if lo <= (b := min(hi, q - 1)):
+        total -= (b - lo + 1) * (2 * (m // 2 - s) - lo - b) // 2
+    if (a := max(lo, q)) <= hi:
+        total -= (hi - a + 1) * (a + hi) // 2
+    return total
+
+
+def _half_sums(x: int) -> int:
+    # sum of k // 2 over 0 <= k <= x, for x >= -1
+    return (x // 2) * ((x + 1) // 2)
+
+
+def _leaves(m: int, stop: int) -> Iterator[tuple[list[int], int, int, int]]:
     # The one search over Mp(m), m >= 2, in one frame: buf holds the parts
     # chosen so far, his[i] the top of position i's interval and sums[i]
-    # the sum s before it.  It stops at position n - 1, the second-largest
-    # part, and yields buf, that position's nonempty interval lo..hi and
-    # rest = m - s: each v there fixes the last part rest - v, which the
-    # clamps keep in range.  Consumers may fill buf[n - 1] and buf[n] only.
+    # the sum s before it.  It stops at position stop, 0 <= stop < n, and
+    # yields buf, that position's nonempty interval lo..hi and rest = m - s.
+    # At stop = n - 1, the second-largest part, each v there fixes the last
+    # part rest - v, which the clamps keep in range.  Consumers may fill
+    # buf[stop:] only.
     n = m.bit_length() - 1
     # position i has t = n - i parts after it: besides last <= v <= 1 + s,
     # its clamps are ceil((m + 1) / 2^t) - 1 - s <= v <= (m - s) // (t + 1)
@@ -128,7 +163,7 @@ def _leaves(m: int) -> Iterator[tuple[list[int], int, int, int]]:
         lo = max(last, floors[i] - s)
         hi = min(1 + s, (m - s) // spans[i])
         if lo <= hi:
-            if i < n - 1:
+            if i < stop:
                 buf[i], his[i], sums[i] = lo, hi, s
                 i, s, last = i + 1, s + lo, lo
                 continue

@@ -1,9 +1,12 @@
 import contextlib
 import io
+import itertools
 import json
+import os
 import subprocess
 import sys
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 from mpart import cli, counting
 from mpart.counting import BinarySeries, build_table, gf_coefficients
-from mpart.enumeration import count_by_enumeration
+from mpart.enumeration import count_by_enumeration, iter_m_partitions
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +194,44 @@ def test_enum_limit_stops_the_walk_at_large_m(capsys):
     assert build_table(1024)[1024] == 1873269202
 
 
+def test_enum_json_streams_the_bytes_of_one_dump(capsys):
+    # the 9618 partitions of 150 span three output blocks; past 2**53 - 1,
+    # m and the parts travel as decimal strings
+    def jint(v):
+        return v if v < 2**53 else str(v)
+
+    for m, limit in ((150, None), (2**64 + 2**63 + 5, 3)):
+        argv = ["enum", str(m), "--format", "json"]
+        argv += [] if limit is None else ["--limit", str(limit)]
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        shown = list(itertools.islice(iter_m_partitions(m), limit))
+        payload = {
+            "kind": "enum",
+            "m": jint(m),
+            "parts": [[jint(q) for q in p.parts] for p in shown],
+            "count": jint(cli.a(m)),
+        }
+        assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
+    assert len(shown) == 3 and len(json.loads(out)["parts"]) == 3
+
+
+def test_enum_prints_as_it_walks(monkeypatch):
+    # all 229789 partitions of 300 pass through a discarding stdout; a
+    # list of them would hold 46 MB (measured), the stream 1.8 MB
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            rc = cli.main(["enum", "300"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert count_by_enumeration(300) == 229789
+    assert peak < 5 * 2**20, peak
+
+
 # ---------------------------------------------------------------- count
 
 
@@ -241,6 +282,14 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", 114)
     rc, out, _ = run_cli(capsys, "count", "100", "--method", "enumerate")
     assert rc == 0 and "a_m: 114" in out
+
+
+def test_count_enumerate_at_its_budget_edge(capsys):
+    # a_3470 = 98547380 is the largest a_m <= 10**8 below 4096
+    assert cli._MAX_ENUMERATED == 10**8
+    rc, out, err = run_cli(capsys, "count", "3470", "--method", "enumerate")
+    assert rc == 0 and err == ""
+    assert out == "m: 3470\na_m: 98547380\nmethod: enumerate\n"
 
 
 def _allow_small_tables_only(monkeypatch):

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpart.core import Partition, is_m_partition, is_weak_m_partition, num_parts
+from mpart.counting import build_table
 from mpart.enumeration import (
+    _last_two,
+    _leaves,
     count_by_enumeration,
     iter_m_partitions,
     oracle_is_weak,
@@ -112,6 +115,39 @@ def test_count_examples():
 def test_count_matches_stream():
     for m in range(1, 201):
         assert count_by_enumeration(m) == sum(1 for _ in iter_m_partitions(m)), m
+
+
+def test_last_two_closed_form_equals_the_walk_one_position_deeper():
+    # the counter's nodes sit at the third-largest part; the cursor's walk
+    # one position deeper must reach, below each node, every v of its
+    # interval (no interval of the second-largest part is empty), with the
+    # interval that _last_two assumes, and the closed form must equal the
+    # sum of those interval lengths
+    for m in range(1, 301):
+        if m < 4:
+            assert count_by_enumeration(m) == 1 == len(list(iter_m_partitions(m)))
+            continue
+        n = m.bit_length() - 1
+        below = {}
+        for buf, lo, hi, _ in _leaves(m, n - 1):
+            below.setdefault(tuple(buf[: n - 2]), []).append((buf[n - 2], lo, hi))
+        for buf, lo, hi, rest in _leaves(m, n - 2):
+            node = tuple(buf[: n - 2])
+            seen = below.pop(node)
+            assert [v for v, _, _ in seen] == list(range(lo, hi + 1)), (m, node)
+            s = m - rest
+            for v, lo2, hi2 in seen:
+                assert lo2 == max(v, m // 2 - s - v), (m, node, v)
+                assert hi2 == min(1 + s + v, (m - s - v) // 2), (m, node, v)
+            direct = sum(hi2 - lo2 + 1 for _, lo2, hi2 in seen)
+            assert _last_two(m, s, lo, hi) == direct, (m, node)
+        assert not below, m
+
+
+def test_count_at_the_enumerate_budget_edge():
+    # 98547380 is the largest a_m <= 10**8 below 4096 (a_3470 = a_3471),
+    # so count --method enumerate still counts it
+    assert count_by_enumeration(3470) == build_table(3470)[3470] == 98547380
 
 
 def test_zero_rejected():
