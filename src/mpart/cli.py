@@ -182,14 +182,14 @@ def cmd_enum(args) -> int:
     return 0
 
 
-# Lower-half count and enum build no larger table: 1.5 GiB at 190 B an entry.
+# Lower-half count and enum build no larger table: about 1 GB at 125 B an entry.
 _MAX_TABLE = 2**23
 
 
 def _require_table_fits(m: int) -> None:
     if m > _MAX_TABLE and not in_upper_half(m):
         raise DomainError(
-            f"a lower-half m needs a table of {m} entries, about {m * 190 // 10**6} MB; "
+            f"a lower-half m needs a table of {m} entries, about {m * 125 // 10**6} MB; "
             f"count and enum build at most {_MAX_TABLE}"
         )
 

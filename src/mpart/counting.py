@@ -59,12 +59,12 @@ class CountTable(Mapping[int, int]):
         # Dense arrays, valid on indices 0..dense_limit:
         #   A[t] = a_t (A[0] = 0 is padding, never a key)
         #   S[t] = a_1 + ... + a_t
-        #   Q[t] = S[t] + S[t-2] + ...  (so S[0] + ... + S[t] = Q[t] + Q[t-1])
+        # Nothing else is kept: build_table carries its subtraction term from
+        # m - 2 to m and sums it afresh from S where it has none to carry.
         # A repeats S[t] - S[t-1] so that table[m] and a(m) read a stored int;
         # such reads set the latency percentiles of the count_table benchmark.
         self._A = [0, 1]
         self._S = [0, 1]
-        self._Q = [0, 1]
 
     @property
     def memo(self) -> Mapping[int, int]:
@@ -116,8 +116,8 @@ def a(m: int, table: CountTable | None = None) -> int:
     Read from ``table`` when it covers m.  Otherwise an upper-half m is
     answered by the closed form :func:`a_upper_half_via_b` in O(log^3 k)
     big-int steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is; a
-    lower-half m extends ``table`` densely up to m with :func:`build_table`
-    and reads it.
+    lower-half m extends ``table`` densely up to m with :func:`build_table`,
+    two stored ints an entry, and reads it.
     """
     _require_positive(m)
     if table is None:
@@ -133,17 +133,21 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     """Tabulate a_1..a_M bottom-up in amortized O(1) big-int ops per entry.
 
     The outer sum of the recurrence is one prefix-sum difference.  The
-    subtraction terms exist only for m1 with 3*m1 >= 2m + 1; over that run
-    their upper index 2*m1 - m - 1 advances by two per step (covered by the
-    stride-two prefix Q) and their lower index floor(m1/2) repeats each
-    value twice (covered by the prefix of S, which is Q[x] + Q[x-1]).
-    Extending an already populated table computes only the new entries and
-    never rewrites an old one.
+    subtraction term T(m), the sum of S[2*m1 - m - 1] - S[m1//2 - 1] over
+    the run m1s..hi of m1 with 3*m1 >= 2m + 1, is carried from m - 2 to m:
+    with m1 -> m1 + 1 the first terms of T(m - 2) are those of T(m), and
+    the window gains one term at the top and drops one or two at the
+    bottom.  Each parity keeps its own running T, summed afresh over its
+    window (about m/12 terms) when m - 2 had none, so an extension needs no
+    state beyond A and S.  Extending an already populated table computes
+    only the new entries and never rewrites an old one.
     """
     _require_positive(M, "M")
     if table is None:
         table = CountTable()
-    A, S, Q = table._A, table._S, table._Q
+    A, S = table._A, table._S
+    # (m, T(m)) for the last m of each parity with a subtraction term
+    carried = [(0, 0), (0, 0)]
     for m in range(table.dense_limit + 1, M + 1):
         n = m.bit_length() - 1
         lo = m >> 1
@@ -151,19 +155,27 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
         val = S[hi] - S[lo - 1]
         m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
         if m1s <= hi:
-            # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11, so t0 and
-            # i0 are >= 5: no index is negative (Python would wrap it silently).
-            # The sum of S[m1//2 - 1] over m1s..hi holds each t in t0..t1
-            # twice, less t0 if m1s is odd and t1 if hi is even.
-            i0, i1 = 2 * m1s - m - 1, 2 * hi - m - 1
-            val -= Q[i1] - Q[i0 - 2]
-            t0, t1 = m1s >> 1, hi >> 1
-            val += 2 * (Q[t1 - 1] + Q[t1 - 2] - Q[t0 - 2] - Q[t0 - 3])
-            val -= S[t0 - 1] if m1s & 1 else 0
-            val -= 0 if hi & 1 else S[t1 - 1]
+            # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11: no index
+            # below is negative (Python would wrap it silently).
+            prev, t = carried[m & 1]
+            if prev == m - 2:
+                # m - 2 is in the same lower half, so hi grew by one and
+                # m1s by one or two from j
+                j = (2 * m - 1) // 3
+                t += S[(j >> 1) - 1] - S[(hi >> 1) - 1]
+                if j + 2 == m1s:
+                    t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
+            else:
+                # m1//2 over m1s..hi: the even m1, then the odd
+                t = (
+                    sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
+                    - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
+                    - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
+                )
+            carried[m & 1] = (m, t)
+            val -= t
         A.append(val)
         S.append(S[-1] + val)
-        Q.append(S[-1] + Q[-2])
     return table
 
 
@@ -282,17 +294,33 @@ def b(j: int, series: BinarySeries | None = None) -> int:
     return (series if series is not None else BinarySeries()).value(j)
 
 
+# The running sums of gf_coefficients go a block of this many terms at a
+# time, so only one block's old and new values are alive together.
+_BLOCK = 4096
+
+
+def _running_sum(c: list[int], step: int) -> None:
+    """c[::step] = accumulate(c[::step]) in place, one block at a time."""
+    span = _BLOCK * step
+    for i in range(0, len(c), span):
+        if i:
+            c[i] += c[i - step]
+        c[i : i + span : step] = accumulate(c[i : i + span : step])
+
+
 def gf_coefficients(N: int) -> list[int]:
     """Coefficients x^0..x^N of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1.
 
-    Each factor (1 - x^(2^j))^-1 is one in-place strided accumulation on the
-    truncated prefix; factors with 2^j > N are identities there and are
-    skipped.  The factors go from the largest stride s = 2^floor(log2 N)
-    down to 1: before stride s, the product so far has terms only at
-    multiples of 2s, so the accumulation need visit only the multiples of
-    s.  That is about 2N big-int additions in all, where ascending strides
-    over the whole prefix take N * (floor(log2 N) + 1).  The final (1-x)^-1
-    is a plain prefix sum.  Factor order is immaterial (and tested as such).
+    Each factor (1 - x^(2^j))^-1 is a running sum along the stride 2^j of
+    the truncated prefix, ``c[::s] = accumulate(c[::s])`` taken a block at a
+    time so that the peak stays near the result; factors with 2^j > N are
+    identities there and are skipped.  The factors go from the largest
+    stride s = 2^floor(log2 N) down to 1: before stride s, the product so
+    far has terms only at multiples of 2s, so the sum need visit only the
+    multiples of s.  That is about 2N big-int additions in all, where
+    ascending strides over the whole prefix take N * (floor(log2 N) + 1).
+    The final (1-x)^-1 is one more running sum, of stride 1.  Factor order
+    is immaterial (and tested as such).
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -300,11 +328,9 @@ def gf_coefficients(N: int) -> list[int]:
     c[0] = 1
     step = (1 << N.bit_length()) >> 1
     while step:
-        for i in range(step, N + 1, step):
-            c[i] += c[i - step]
+        _running_sum(c, step)
         step >>= 1
-    for i in range(1, N + 1):
-        c[i] += c[i - 1]
+    _running_sum(c, 1)
     return c
 
 
