@@ -2,8 +2,10 @@
 dense bottom-up table that :func:`a` and :func:`a_simple` extend and read,
 and the binary-partition series that gives a closed form on the upper half
 of every binade (which :func:`a` uses there when the table stops short).
-A term b_j of that series costs O(log^3 j) big-int steps by halving, so an
-upper-half count needs neither a table nor a series prefix, at any size.
+A far term b_j of that series costs one halving pass of O(log^3 j)
+big-int steps, so an upper-half count needs neither a table nor a series
+prefix, at any size.  A lower-half count with no table to extend
+tabulates only as far as its own entry reads.
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -17,8 +19,9 @@ eventually wrap any fixed-width type.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from itertools import accumulate, chain, islice
-from operator import sub
+from itertools import accumulate, chain, islice, repeat
+from math import comb
+from operator import add, lshift, sub
 
 from .core import DomainError, _require_positive
 
@@ -115,18 +118,27 @@ def a(m: int, table: CountTable | None = None) -> int:
     with the empty inner range contributing 0 and a_1 = 1 as the axiom.
     Read from ``table`` when it covers m.  Otherwise an upper-half m is
     answered by the closed form :func:`a_upper_half_via_b` in O(log^3 k)
-    big-int steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is; a
-    lower-half m extends ``table`` densely up to m with :func:`build_table`,
-    two stored ints an entry, and reads it.
+    big-int steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is.
+    A lower-half m extends a given ``table`` densely up to m with
+    :func:`build_table`, two stored ints an entry, and reads it.  With no
+    table, it tabulates only up to hi = floor((m + 2^(n-1) - 1)/2), the
+    last index its entry reads, which is 2/3 to 3/4 of m, and sums that one
+    entry from there.
     """
     _require_positive(m)
-    if table is None:
-        table = CountTable()
-    if m > table.dense_limit:
-        if in_upper_half(m):
-            return a_upper_half_via_b(m)
-        build_table(m, table)
-    return table._A[m]
+    if table is not None and m <= table.dense_limit:
+        return table._A[m]
+    if in_upper_half(m):
+        return a_upper_half_via_b(m)
+    if table is not None:
+        return build_table(m, table)._A[m]
+    if m == 1:
+        return 1
+    n = m.bit_length() - 1
+    lo, hi = m >> 1, (m + (1 << (n - 1)) - 1) >> 1
+    S = build_table(hi)._S
+    m1s = (2 * m + 3) // 3
+    return S[hi] - S[lo - 1] - (_fresh_term(S, m, m1s, hi) if m1s <= hi else 0)
 
 
 def build_table(M: int, table: CountTable | None = None) -> CountTable:
@@ -166,17 +178,23 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
                 if j + 2 == m1s:
                     t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
             else:
-                # m1//2 over m1s..hi: the even m1, then the odd
-                t = (
-                    sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
-                    - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
-                    - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
-                )
+                t = _fresh_term(S, m, m1s, hi)
             carried[m & 1] = (m, t)
             val -= t
         A.append(val)
         S.append(S[-1] + val)
     return table
+
+
+def _fresh_term(S: list[int], m: int, m1s: int, hi: int) -> int:
+    """The subtraction term of m, summed afresh from S over m1 = m1s..hi:
+    S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even m1, then
+    for the odd."""
+    return (
+        sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
+        - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
+        - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
+    )
 
 
 def a_simple(m: int, table: CountTable | None = None) -> int:
@@ -197,51 +215,86 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     return table.range_sum(m >> 1, hi)
 
 
-# A fresh series appends its terms faster than halving computes b_j up to
-# about j = 9000, so value() appends at most this many terms before it
-# halves instead.  Medians of 31 calls on a fresh series, in ms (CPython
-# 3.11.7, 2 vCPUs):
+# One halving pass computes b_j faster than a fresh series appends its
+# terms from about j = 2^10 for an odd j, but only from about 2^12 for a
+# power of two, on which halving runs two tracks to the end.  value()
+# appends at most this many terms and halves past them, where even a j
+# with many trailing zeros halves faster than it appends (j = 4608, 5120,
+# 6144: 0.6 to 0.75 of the time) and an odd j in less than half the time.
+# Medians of 31 calls on a fresh series, in ms (CPython 3.11.7, 2 vCPUs):
 #
-#     j           2^12   2^13   2^14   2^15   2^16
-#     append      0.44   0.75   1.69   3.35   8.61
-#     halving     0.80   0.85   1.07   1.30   1.47
-_MAX_APPEND = 8192
+#     j                  2^9    2^10   2^11   2^12   2^13   2^14
+#     append             0.039  0.069  0.130  0.239  0.462  1.015
+#     halving, j = 2^e   0.114  0.136  0.163  0.213  0.242  0.287
+#     halving, 2^e + 1   0.046  0.060  0.074  0.089  0.106  0.155
+_MAX_APPEND = 4096
 
 
-def _b_prefix_sum(x: int) -> int:
-    """b_0 + ... + b_x for x >= 0, in O(log^3 x) big-int steps.
+def _halve(lead: list[int], x: int) -> list[int]:
+    """One halving level, T(P, x) = T(P', x//2), with P and P' held as their
+    forward differences at 0; deg P' = deg P + 1.
 
-    Write T(P, x) for the sum of P(i) * b_i over 0 <= i <= x, P a
-    polynomial.  As b_i is the sum of b_(k//2) over k <= i, grouping the k
-    by k//2 gives T(P, x) = T(P', x//2) with
+    T(P, x) is the sum of P(i) * b_i over 0 <= i <= x.  As b_i is the sum
+    of b_(k//2) over k <= i, grouping the k by k//2 gives
 
-        P'(t) = R(2t) + R(2t+1) = 2F(x) - F(2t-1) - F(2t),
+        P'(t) = R(2t) + R(2t+1) = 2F(x) - H(2t),   H(y) = F(y-1) + F(y),
 
-    where R(k) = P(k) + ... + P(x) and F(y) = P(0) + ... + P(y), F(-1) = 0;
-    the base case is T(P, 0) = P(0).  This is T(1, x).  P is held as its
-    forward differences at 0, so F(x) is one Newton sum; deg P' = deg P + 1.
+    where R(k) = P(k) + ... + P(x) and F(y) = P(0) + ... + P(y), F(-1) = 0.
+    F(x) is one Newton sum.  At 0, H has the differences h_0 = lead[0] and
+    h_k = 2 lead[k-1] + lead[k], and H(2t), whose step-2 difference is
+    Delta (2 + Delta), has the k-th difference ((2 + Delta)^k h)_k: the
+    first entry after k passes of h_n -> 2 h_n + h_(n+1) over h_1, h_2, ...
+    That is about d^2 big-int operations at degree d.
     """
-    lead = [1]
-    while x:
-        d = len(lead) - 1
-        # F(x) = sum over r of lead[r] * C(x+1, r+1)
-        F, c = 0, 1
-        for r, v in enumerate(lead):
-            c = c * (x + 1 - r) // (r + 1)
-            F += v * c
-        # P at 0..2d+2 by summing the difference rows back up from the
-        # constant d-th one, then Fs[y + 1] = F(y) for -1 <= y <= 2d+2
-        vals = [lead[-1]] * (d + 3)
-        for v in reversed(lead[:-1]):
-            vals = list(accumulate(vals, initial=v))
-        Fs = list(accumulate(vals, initial=0))
-        row = [2 * F - Fs[2 * t] - Fs[2 * t + 1] for t in range(d + 2)]
-        lead = []
-        while row:
-            lead.append(row[0])
-            row = list(map(sub, row[1:], row))
+    # F(x) = sum over r of lead[r] * C(x+1, r+1)
+    F, c = 0, 1
+    for r, v in enumerate(lead):
+        c = c * (x + 1 - r) // (r + 1)
+        F += v * c
+    out = [2 * F - lead[0]]
+    h = list(map(add, map(lshift, lead, repeat(1)), [*lead[1:], 0]))
+    while h:
+        h = list(map(add, map(lshift, h, repeat(1)), [*h[1:], 0]))
+        out.append(-h.pop(0))
+    return out
+
+
+# b_0..b_3: a halving pass stops at x < 4 and sums T(P, x) term by term
+_B_HEAD = (1, 2, 4, 6)
+
+
+def _t_head(lead: list[int], x: int) -> int:
+    """T(P, x) for -1 <= x < 4, with P(i) the sum of lead[r] * C(i, r)."""
+    return sum(
+        b_i * sum(v * comb(i, r) for r, v in enumerate(lead[: i + 1]))
+        for i, b_i in enumerate(_B_HEAD[: x + 1])
+    )
+
+
+def _b_by_halving(j: int) -> int:
+    """b_j = T(1, j) - T(1, j-1) for j >= 0 in one halving pass, O(log^3 j)
+    big-int steps.
+
+    The two sums halve side by side as (P, x) and (Q, x-1) while x is even.
+    At the first odd x both ends halve to x//2, so from there on the one
+    difference P' - Q' halves alone; P and Q have the same top difference,
+    so it is at least one degree lower.  A power of two runs both tracks
+    to the end, and an odd j only its first level.
+    """
+    p, q, x = [1], [1], j
+    while x >= 4 and not x & 1:
+        p, q = _halve(p, x), _halve(q, x - 1)
         x >>= 1
-    return lead[0]
+    if x < 4:
+        return _t_head(p, x) - _t_head(q, x - 1)
+    p = list(map(sub, _halve(p, x), _halve(q, x - 1)))
+    while not p[-1]:
+        p.pop()
+    x >>= 1
+    while x >= 4:
+        p = _halve(p, x)
+        x >>= 1
+    return _t_head(p, x)
 
 
 class BinarySeries:
@@ -260,10 +313,11 @@ class BinarySeries:
 
     def value(self, j: int) -> int:
         """b_j.  Read from the cache when it holds j; appended to it when at
-        most 8192 terms are missing; otherwise computed by halving in
-        O(log^3 j) big-int steps, which answers without filling the cache."""
+        most ``_MAX_APPEND`` terms are missing; otherwise computed in one
+        halving pass of O(log^3 j) big-int steps, which answers without
+        filling the cache."""
         if j - len(self._b) >= _MAX_APPEND:
-            return _b_prefix_sum(j) - _b_prefix_sum(j - 1)
+            return _b_by_halving(j)
         return self._extend(j)[j]
 
     def prefix(self, j: int) -> list[int]:
@@ -289,8 +343,8 @@ class BinarySeries:
 
 def b(j: int, series: BinarySeries | None = None) -> int:
     """b_j of the doubling recurrence through :meth:`BinarySeries.value`: it
-    reads or extends the given cache, or past it computes b_j by halving
-    without filling it."""
+    reads or extends the given cache, or past it computes b_j in one
+    halving pass without filling it."""
     return (series if series is not None else BinarySeries()).value(j)
 
 
@@ -338,7 +392,7 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
     """Closed form on the upper half: a_m = b_floor(k/2), k = 2^(n+1) - 1 - m.
 
     Domain is the same window as :func:`a_simple`; always equals :func:`a`
-    there.
+    there.  Past the series cache, :func:`b` takes one halving pass.
     """
     _require_upper_half(m)
     return b(_series_index(m), series)

@@ -1,18 +1,21 @@
 import random
 import tracemalloc
 from functools import lru_cache
+from hashlib import sha256
 from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpart import cli, counting
 from mpart.core import DomainError, extension_range_m1, extension_range_m12
 from mpart.counting import (
     _MAX_APPEND,
     BinarySeries,
     CountTable,
-    _b_prefix_sum,
+    _b_by_halving,
     a,
     a_even_pairing_check,
     a_simple,
@@ -66,6 +69,44 @@ def stride_two_sweep(M):
     return A, S
 
 
+def b_prefix_sum(x):
+    """b_0 + ... + b_x for x >= 0 by halving, one full pass per call; the
+    oracle for the one-pass b_j as b_prefix_sum(j) - b_prefix_sum(j - 1).
+
+    Write T(P, x) for the sum of P(i) * b_i over 0 <= i <= x, P a
+    polynomial.  As b_i is the sum of b_(k//2) over k <= i, grouping the k
+    by k//2 gives T(P, x) = T(P', x//2) with
+
+        P'(t) = R(2t) + R(2t+1) = 2F(x) - F(2t-1) - F(2t),
+
+    where R(k) = P(k) + ... + P(x) and F(y) = P(0) + ... + P(y), F(-1) = 0;
+    the base case is T(P, 0) = P(0).  This is T(1, x).  P is held as its
+    forward differences at 0, so F(x) is one Newton sum, and P' is read off
+    the values of F at -1..2d+2.
+    """
+    lead = [1]
+    while x:
+        d = len(lead) - 1
+        # F(x) = sum over r of lead[r] * C(x+1, r+1)
+        F, c = 0, 1
+        for r, v in enumerate(lead):
+            c = c * (x + 1 - r) // (r + 1)
+            F += v * c
+        # P at 0..2d+2 by summing the difference rows back up from the
+        # constant d-th one, then Fs[y + 1] = F(y) for -1 <= y <= 2d+2
+        vals = [lead[-1]] * (d + 3)
+        for v in reversed(lead[:-1]):
+            vals = list(accumulate(vals, initial=v))
+        Fs = list(accumulate(vals, initial=0))
+        row = [2 * F - Fs[2 * t] - Fs[2 * t + 1] for t in range(d + 2)]
+        lead = []
+        while row:
+            lead.append(row[0])
+            row = list(map(sub, row[1:], row))
+        x >>= 1
+    return lead[0]
+
+
 # ---------------------------------------------------------------- recurrence
 
 
@@ -112,6 +153,29 @@ def test_a_answers_upper_half_past_the_table_by_the_closed_form(table14):
     assert table.dense_limit == 1
     assert a_even_pairing_check(2**40 - 2)
     assert defect(2**40 - 2) == 0
+
+
+def test_a_without_a_table_tabulates_only_what_its_entry_reads(monkeypatch):
+    # every lower half below 2^12, and the edges of the lower halves of
+    # 2^12..2^16: the first two m of each and its last two
+    edges = [
+        m
+        for n in range(12, 17)
+        for m in ((1 << n), (1 << n) + 1, (3 << (n - 1)) - 3, (3 << (n - 1)) - 2)
+    ]
+    lower = [m for m in range(1, 1 << 12) if not in_upper_half(m)] + edges
+    assert all(not in_upper_half(m) for m in edges) and in_upper_half(edges[-1] + 1)
+    ref = build_table(edges[-1])
+    sizes = []
+    monkeypatch.setattr(
+        counting, "build_table", lambda M, table=None: sizes.append(M) or build_table(M, table)
+    )
+    for m in lower:
+        sizes.clear()
+        assert a(m) == ref[m], m
+        if m > 1:  # one table, of 2/3 to 3/4 of m
+            (hi,) = sizes
+            assert 2 * m <= 3 * hi + 3 and 4 * hi <= 3 * m, (m, hi)
 
 
 def test_memo_view_is_read_only():
@@ -288,9 +352,8 @@ def test_b_summation_identity(bser):
 
 def test_b_by_halving_matches_the_series():
     ref = BinarySeries().prefix(2 * _MAX_APPEND)
-    # the halving itself, on every x < 2^12; value() takes b_j as the
-    # difference of two of these sums
-    assert [_b_prefix_sum(x) for x in range(1 << 12)] == list(accumulate(ref[: 1 << 12]))
+    # the two-pass oracle, on every x < 2^12
+    assert [b_prefix_sum(x) for x in range(1 << 12)] == list(accumulate(ref[: 1 << 12]))
     # value() on a fresh series appends up to _MAX_APPEND terms, and halves
     # past that without filling the cache
     for j in (_MAX_APPEND - 1, _MAX_APPEND):
@@ -301,6 +364,31 @@ def test_b_by_halving_matches_the_series():
         assert series.value(j) == ref[j] and len(series._b) == 1, j
     series.prefix(10)
     assert len(series._b) == 11  # prefix always fills the cache
+
+
+def test_one_halving_pass_matches_the_product():
+    # called directly: value() appends in this range
+    assert [_b_by_halving(j) for j in range(1 << 12)] == gf_coefficients((1 << 12) - 1)
+
+
+def test_b_by_halving_matches_the_two_pass_difference():
+    # powers of two run both tracks to the end; 2^e - 1 and 2^e + 1 only the first level
+    for e in (14, 20, 40, 64, 101):
+        for j in (2**e - 1, 2**e, 2**e + 1):
+            assert BinarySeries().value(j) == b_prefix_sum(j) - b_prefix_sum(j - 1), j
+
+
+def test_count_prints_b_of_a_power_of_two(capsys):
+    # 3*2^63 - 1 starts its upper half: k = 2^63, so a_m = b_(2^62), the
+    # index on which halving runs two tracks longest
+    m = 3 * 2**63 - 1
+    assert cli.main(["count", str(m)]) == 0
+    want = b_prefix_sum(2**62) - b_prefix_sum(2**62 - 1)
+    assert capsys.readouterr().out == f"m: {m}\na_m: {want}\nmethod: genfun\n"
+    # 2^64 + 2^63 + 5: the sha256 of the bytes that two halving passes printed
+    assert cli.main(["count", str(2**64 + 2**63 + 5)]) == 0
+    digest = sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "aa78568ac02abd787953ec923634e0ff87727a868b827faba23df4a934b28c4b"
 
 
 def test_b_counts_binary_partitions():
