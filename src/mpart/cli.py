@@ -16,12 +16,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import islice
+from operator import eq
 
 from .core import (
     DomainError,
     Partition,
+    extension_range_m1,
     generate_alg1,
     generate_alg2,
     generate_alg3,
@@ -50,40 +53,43 @@ def _jint(v: int):
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, separators=(", ", ": ")))
+    # the bytes of json.dumps(payload, separators=(", ", ": ")) + "\n", one
+    # value at a time; an iterator of lists stands for the one list they make
+    # up and goes out a list at a time, brackets cut off, never held whole
+    dumps = partial(json.dumps, separators=(", ", ": "))
+    out = sys.stdout
+    sep = "{"
+    for key, value in payload.items():
+        out.write(f"{sep}{dumps(key)}: ")
+        sep = ", "
+        if isinstance(value, Iterator):
+            out.write("[")
+            inner = ""
+            for items in value:
+                out.write(inner + dumps(items)[1:-1])
+                inner = ", "
+            out.write("]")
+        else:
+            out.write(dumps(value))
+    out.write("}\n")
 
 
 def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _blocks(first: int, last: int) -> Iterator[range]:
-    # rows go out in blocks, as one write per row is half again as slow
-    for lo in range(first, last + 1, 4096):
-        yield range(lo, min(lo + 4096, last + 1))
-
-
-def _json_items(blocks: Iterator[list]) -> Iterator[str]:
-    # the items of one json.dumps list, written a block at a time: each
-    # block is encoded as a list with its brackets cut off
-    sep = ""
-    for items in blocks:
-        yield sep + json.dumps(items, separators=(", ", ": "))[1:-1]
-        sep = ", "
+def _blocks(items: Iterable, size: int = 4096) -> Iterator[list]:
+    # output goes out in blocks, as one write per row is half again as slow
+    items = iter(items)
+    while block := list(islice(items, size)):
+        yield block
 
 
 def _table_rows(M: int, table: CountTable) -> Iterator[str]:
     # pinned format: header "m,a_m", no padding, newline-terminated last row
     yield "m,a_m\n"
-    for ms in _blocks(1, M):
+    for ms in _blocks(range(1, M + 1)):
         yield "".join(f"{m},{table[m]}\n" for m in ms)
-
-
-def _table_json(M: int, table: CountTable) -> Iterator[str]:
-    # the bytes of _emit_json({"kind": "table", "rows": [[m, a_m], ...]})
-    yield '{"kind": "table", "rows": ['
-    yield from _json_items([[m, _jint(table[m])] for m in ms] for ms in _blocks(1, M))
-    yield "]}\n"
 
 
 def _table_csv(M: int, table: CountTable) -> str:
@@ -156,11 +162,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _batches(items: Iterator, size: int = 4096) -> Iterator[list]:
-    while batch := list(islice(items, size)):
-        yield batch
-
-
 def cmd_enum(args) -> int:
     _require_table_fits(args.m)
     # the full count comes from the counting engine, before the first byte;
@@ -168,17 +169,13 @@ def cmd_enum(args) -> int:
     # sys.maxsize) and goes out a block at a time, as it is walked
     count = a(args.m)
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
-    batches = _batches(islice(iter_m_partitions(args.m), limit))
-    out = sys.stdout
+    walk = islice(iter_m_partitions(args.m), limit)
     if args.format == "json":
-        # the bytes of _emit_json({"kind": "enum", "m": m,
-        #     "parts": [[part, ...], ...], "count": count})
-        out.write(f'{{"kind": "enum", "m": {json.dumps(_jint(args.m))}, "parts": [')
-        out.writelines(_json_items([[_jint(q) for q in p.parts] for p in ps] for ps in batches))
-        out.write(f'], "count": {json.dumps(_jint(count))}}}\n')
+        parts = _blocks([_jint(q) for q in p.parts] for p in walk)
+        _emit_json({"kind": "enum", "m": _jint(args.m), "parts": parts, "count": _jint(count)})
     else:
-        out.writelines("".join(f"{p}\n" for p in ps) for ps in batches)
-        out.write(f"count: {count}\n")
+        sys.stdout.writelines(map("".join, _blocks(f"{p}\n" for p in walk)))
+        print(f"count: {count}")
     return 0
 
 
@@ -187,11 +184,14 @@ _MAX_TABLE = 2**23
 
 
 def _require_table_fits(m: int) -> None:
+    # a with no table tabulates a lower-half m up to hi < m
     if m > _MAX_TABLE and not in_upper_half(m):
-        raise DomainError(
-            f"a lower-half m needs a table of {m} entries, about {m * 125 // 10**6} MB; "
-            f"count and enum build at most {_MAX_TABLE}"
-        )
+        hi = extension_range_m1(m).hi
+        if hi > _MAX_TABLE:
+            raise DomainError(
+                f"a lower-half m needs a table of {hi} entries, about {hi * 125 // 10**6} MB; "
+                f"count and enum build at most {_MAX_TABLE}"
+            )
 
 
 _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
@@ -235,33 +235,24 @@ def cmd_count(args) -> int:
 
 def cmd_table(args) -> int:
     table = build_table(args.M)
-    emit = _table_json if args.format == "json" else _table_rows
-    sys.stdout.writelines(emit(args.M, table))
+    if args.format == "json":
+        rows = _blocks([m, _jint(table[m])] for m in range(1, args.M + 1))
+        _emit_json({"kind": "table", "rows": rows})
+    else:
+        sys.stdout.writelines(_table_rows(args.M, table))
     return 0
-
-
-def _series_rows(J: int, bs: list[int], cs: list[int]) -> Iterator[str]:
-    yield "j,b_j,coeff,match\n"
-    for js in _blocks(0, J):
-        yield "".join(f"{j},{bs[j]},{cs[j]},{_bool(bs[j] == cs[j])}\n" for j in js)
-
-
-def _series_json(J: int, bs: list[int], cs: list[int]) -> Iterator[str]:
-    # the bytes of _emit_json({"kind": "series",
-    #     "rows": [[j, b_j, coeff], ...], "matches": [b_j == coeff, ...]})
-    rows = ([[j, _jint(bs[j]), _jint(cs[j])] for j in js] for js in _blocks(0, J))
-    yield '{"kind": "series", "rows": ['
-    yield from _json_items(rows)
-    yield '], "matches": ['
-    yield from _json_items([bs[j] == cs[j] for j in js] for js in _blocks(0, J))
-    yield "]}\n"
 
 
 def cmd_series(args) -> int:
     bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
-    emit = _series_json if args.format == "json" else _series_rows
-    sys.stdout.writelines(emit(args.J, bs, cs))
+    if args.format == "json":
+        rows = _blocks([j, _jint(b), _jint(c)] for j, (b, c) in enumerate(zip(bs, cs)))
+        _emit_json({"kind": "series", "rows": rows, "matches": _blocks(map(eq, bs, cs))})
+    else:
+        lines = (f"{j},{b},{c},{_bool(b == c)}\n" for j, (b, c) in enumerate(zip(bs, cs)))
+        print("j,b_j,coeff,match")
+        sys.stdout.writelines(map("".join, _blocks(lines)))
     return 0
 
 

@@ -341,13 +341,6 @@ class BinarySeries:
         return seq
 
 
-def b(j: int, series: BinarySeries | None = None) -> int:
-    """b_j of the doubling recurrence through :meth:`BinarySeries.value`: it
-    reads or extends the given cache, or past it computes b_j in one
-    halving pass without filling it."""
-    return (series if series is not None else BinarySeries()).value(j)
-
-
 # The running sums of gf_coefficients go a block of this many terms at a
 # time, so only one block's old and new values are alive together.
 _BLOCK = 4096
@@ -392,10 +385,11 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
     """Closed form on the upper half: a_m = b_floor(k/2), k = 2^(n+1) - 1 - m.
 
     Domain is the same window as :func:`a_simple`; always equals :func:`a`
-    there.  Past the series cache, :func:`b` takes one halving pass.
+    there.  b_floor(k/2) is computed by halving only when more than
+    ``_MAX_APPEND`` terms are missing from the series cache.
     """
     _require_upper_half(m)
-    return b(_series_index(m), series)
+    return (series if series is not None else BinarySeries()).value(_series_index(m))
 
 
 def a_even_pairing_check(m: int, table: CountTable | None = None) -> bool:

@@ -329,28 +329,37 @@ def test_count_enumerate_refuses_a_far_lower_half_on_a_small_table(monkeypatch, 
 
 
 def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, capsys):
-    # 130 is a lower half (its binade's upper half starts at 191); the cap
-    # is inclusive, and upper halves and --method enumerate build no table
-    monkeypatch.setattr(cli, "_MAX_TABLE", 129)
+    # 130 is a lower half (its binade's upper half starts at 191) and a
+    # tabulates it up to hi = 96; the cap is inclusive, and upper halves and
+    # --method enumerate build no table
+    monkeypatch.setattr(cli, "_MAX_TABLE", 95)
     refusal = (
-        "error: a lower-half m needs a table of 130 entries, about 0 MB; "
-        "count and enum build at most 129\n"
+        "error: a lower-half m needs a table of 96 entries, about 0 MB; "
+        "count and enum build at most 95\n"
     )
     for argv in (["count", "130"], ["count", "130", "--method", "recurrence"], ["enum", "130"]):
         assert run_cli(capsys, *argv, "--format", "json") == (1, "", refusal), argv
     for m, method in (("130", "enumerate"), ("200", "recurrence")):
         assert run_cli(capsys, "count", m, "--method", method)[0] == 0, m
-    monkeypatch.setattr(cli, "_MAX_TABLE", 130)
+    monkeypatch.setattr(cli, "_MAX_TABLE", 96)
     assert run_cli(capsys, "count", "130")[:2] == (0, "m: 130\na_m: 15459\nmethod: recurrence\n")
     assert run_cli(capsys, "enum", "130", "--limit", "0")[:2] == (0, "count: 15459\n")
 
     # 2^64 + 5 at the real cap, refused before any table is built
     monkeypatch.setattr(cli, "_MAX_TABLE", 2**23)
     _allow_small_tables_only(monkeypatch)
+    hi = 2**63 + 2**62 + 2
     for argv in (["count", str(2**64 + 5)], ["enum", str(2**64 + 5), "--limit", "1"]):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 1 and out == "", argv
-        assert f"a table of {2**64 + 5} entries, about 2305843009213693 MB;" in err
+        assert f"a table of {hi} entries, about {hi * 125 // 10**6} MB;" in err
+
+    # 2^23 + 5 passes the cap, but a tabulates it only up to hi = 6291458;
+    # a stub stands in for the table
+    monkeypatch.setattr(cli, "a", lambda m: 7)
+    monkeypatch.setitem(cli._COUNTERS, "recurrence", cli.a)
+    assert run_cli(capsys, "count", "8388613") == (0, "m: 8388613\na_m: 7\nmethod: recurrence\n", "")
+    assert run_cli(capsys, "enum", "8388613", "--limit", "0") == (0, "count: 7\n", "")
 
 
 def test_counts_print_past_the_int_to_str_digit_limit(monkeypatch, capsys):
@@ -546,6 +555,38 @@ def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "count", "300", "--format", "json")
     second = run_cli(capsys, "count", "300", "--format", "json")
     assert first == second
+
+
+_COUNT_KEYS = ["kind", "m", "count", "method"]
+_ENUM_KEYS = ["kind", "m", "parts", "count"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["verify", "1", "2", "4", "8", "16", "22"],
+            ["kind", "m", "n", "parts", "weak", "m_partition", "bounds"],
+        ),
+        *((["gen", "9", "--alg", alg], ["kind", "m", "alg", "parts", "m_partition"]) for alg in "123"),
+        *((["count", "100", "--method", m], _COUNT_KEYS) for m in ("recurrence", "enumerate", "genfun", "auto")),
+        (["count", str(2**64 + 2**63 + 5)], _COUNT_KEYS),
+        (["enum", "12"], _ENUM_KEYS),
+        (["enum", "40", "--limit", "0"], _ENUM_KEYS),
+        (["table", "1"], ["kind", "rows"]),
+        (["series", "0"], ["kind", "rows", "matches"]),
+    ],
+)
+def test_json_output_is_the_bytes_of_one_dump(capsys, argv, keys):
+    rc, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, separators=(", ", ": ")) + "\n"
+    assert list(payload) == keys
+    if argv[0] == "count" and int(argv[1]) > 2**53:
+        assert payload["count"] == str(cli.a(int(argv[1]))) and payload["method"] == "genfun"
+    if "--limit" in argv:
+        assert payload["parts"] == [] and payload["count"] == count_by_enumeration(40)
 
 
 def test_cli_import_skips_heavy_modules():

@@ -20,7 +20,6 @@ from mpart.counting import (
     a_even_pairing_check,
     a_simple,
     a_upper_half_via_b,
-    b,
     build_table,
     gf_coefficients,
     in_upper_half,
@@ -329,14 +328,14 @@ def test_a_simple_agrees_with_recurrence_everywhere(table14):
 
 
 def test_b_examples():
-    assert b(0) == 1
-    assert b(3) == 6
-    assert b(6) == 20
+    assert BinarySeries().value(0) == 1
+    assert BinarySeries().value(3) == 6
+    assert BinarySeries().value(6) == 20
 
 
 def test_b_rejects_negative():
     with pytest.raises(ValueError):
-        b(-1)
+        BinarySeries().value(-1)
 
 
 def test_b_summation_identity(bser):
@@ -404,7 +403,7 @@ def test_b_counts_binary_partitions():
         return bp(n - biggest, biggest) + bp(n, biggest >> 1)
 
     for j in range(49):
-        assert b(j) == bp(2 * j, 1 << (2 * j).bit_length()), j
+        assert BinarySeries().value(j) == bp(2 * j, 1 << (2 * j).bit_length()), j
 
 
 def test_binary_series_grows_in_blocks_as_the_recurrence():
@@ -482,12 +481,12 @@ def test_gf_factor_order_is_immaterial():
 
 def test_series_coefficients_method_matches_cache(bser):
     assert gf_coefficients(100) == bser.prefix(100)
-    # b(j) past the append limit takes the halving route
+    # value(j) past the append limit takes the halving route
     rng = random.Random(6)
     js = [rng.randrange(_MAX_APPEND, 10**6 + 1) for _ in range(24)]
     coeff = gf_coefficients(max(js))
     for j in js:
-        assert b(j) == coeff[j], j
+        assert BinarySeries().value(j) == coeff[j], j
 
 
 # ---------------------------------------------------------------- closed form
@@ -526,7 +525,7 @@ def defect(m, table=None, series=None):
     k = 2^(n+1) - 1 - m.  Zero on every upper-half window and at m = 1;
     positive on the lower halves, where no generating function is known."""
     k = (2 << (m.bit_length() - 1)) - 1 - m
-    return b(k // 2, series) - a(m, table)
+    return (series if series is not None else BinarySeries()).value(k // 2) - a(m, table)
 
 
 def test_defect_examples(table14, bser):

@@ -1,11 +1,13 @@
 """Every public class and function of the library modules is reached by the
 program: the CLI and library code, the acceptance tests, or the benchmark.
-A name that only the unit tests call belongs in the tests, as an oracle."""
+A name that only the unit tests call belongs in the tests, as an oracle.
+Every private top-level class and function of the package is reached too."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mpart"
 LIBRARY = ("core", "counting", "enumeration")
 
 
@@ -21,16 +23,24 @@ def _referenced(path):
     return names
 
 
-def test_every_public_library_name_is_reached_outside_the_unit_tests():
-    src = ROOT / "src" / "mpart"
-    readers = [*src.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+def _unreached(paths, private):
+    readers = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     readers += [p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_harness.py"]
     reached = set().union(*map(_referenced, readers))
     unreached = []
-    for module in LIBRARY:
-        path = src / f"{module}.py"
+    for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                if not node.name.startswith("_") and node.name not in reached:
+                if node.name.startswith("_") == private and node.name not in reached:
                     unreached.append(f"{node.name} ({path.relative_to(ROOT)}:{node.lineno})")
+    return unreached
+
+
+def test_every_public_library_name_is_reached_outside_the_unit_tests():
+    unreached = _unreached([SRC / f"{module}.py" for module in LIBRARY], private=False)
     assert not unreached, f"public names only the unit tests reach: {', '.join(unreached)}"
+
+
+def test_every_private_helper_is_reached_outside_the_unit_tests():
+    unreached = _unreached(sorted(SRC.glob("*.py")), private=True)
+    assert not unreached, f"private names only the unit tests reach: {', '.join(unreached)}"
