@@ -36,6 +36,7 @@ from .core import (
 from .counting import (
     BinarySeries,
     CountTable,
+    _series_index,
     a,
     a_upper_half_via_b,
     build_table,
@@ -179,7 +180,7 @@ def cmd_enum(args) -> int:
     return 0
 
 
-# Lower-half count and enum build no larger table: about 1 GB at 125 B an entry.
+# Lower-half count and enum build no larger table: about 1 GB at 118 B an entry.
 _MAX_TABLE = 2**23
 
 
@@ -189,7 +190,7 @@ def _require_table_fits(m: int) -> None:
         hi = extension_range_m1(m).hi
         if hi > _MAX_TABLE:
             raise DomainError(
-                f"a lower-half m needs a table of {hi} entries, about {hi * 125 // 10**6} MB; "
+                f"a lower-half m needs a table of {hi} entries, about {hi * 118 // 10**6} MB; "
                 f"count and enum build at most {_MAX_TABLE}"
             )
 
@@ -202,6 +203,30 @@ _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upp
 _MAX_ENUMERATED = 10**8
 
 
+def _require_enumerable(m: int) -> None:
+    if in_upper_half(m):
+        # a_m = b_j, and b_j increases with j: every j from the first b_J
+        # past the budget on is refused with b_J, never with a far b_j
+        bs, j, J = BinarySeries(), _series_index(m), 0
+        while bs.value(J) <= _MAX_ENUMERATED:
+            J += 1
+        if j < J:
+            return
+        bound, a_m = (f"a_m = b_{j} >= b_{J}" if j > J else "a_m"), bs.value(J)
+    else:
+        # a_m >= a_(m >> s), as appending ceil(m/2) extends Mp(m//2) into Mp(m)
+        s = max(m.bit_length() - 12, 0)
+        if (a_m := a(m >> s)) <= _MAX_ENUMERATED and s:
+            s, a_m = 0, a(m)  # the bound below 2^12 does not settle it
+        if a_m <= _MAX_ENUMERATED:
+            return
+        bound = f"a_m >= a_{m >> s}" if s else "a_m"
+    raise DomainError(
+        f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
+        f"and {bound} = {a_m}; use --method recurrence"
+    )
+
+
 def cmd_count(args) -> int:
     m = args.m
     method = args.method
@@ -211,16 +236,7 @@ def cmd_count(args) -> int:
     # table by the closed form; the printed label stays the method asked
     # for.  genfun is a DomainError outside the upper-half window.
     if method == "enumerate":
-        # a_m >= a_(m >> s), as appending ceil(m/2) extends Mp(m//2) into Mp(m)
-        s = 0 if in_upper_half(m) else max(m.bit_length() - 12, 0)
-        if (a_m := a(m >> s)) <= _MAX_ENUMERATED and s:
-            s, a_m = 0, a(m)  # the bound below 2^12 does not settle it
-        if a_m > _MAX_ENUMERATED:
-            bound = f"a_m >= a_{m >> s}" if s else "a_m"
-            raise DomainError(
-                f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
-                f"and {bound} = {a_m}; use --method recurrence"
-            )
+        _require_enumerable(m)
     if method == "recurrence":
         _require_table_fits(m)
     value = _COUNTERS[method](m)

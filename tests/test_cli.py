@@ -272,7 +272,10 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
     monkeypatch.setitem(cli._COUNTERS, "enumerate", no_walk)
     rc, out, err = run_cli(capsys, "count", str(2**64 + 2**63 + 5), "--method", "enumerate")
     assert rc == 1 and out == ""
-    assert f"a_m = {BinarySeries().value(2**62 - 3)};" in err
+    # a_m = b_(2^62 - 3), bounded by the first b_j past the budget
+    bs = BinarySeries()
+    assert bs.value(312) <= cli._MAX_ENUMERATED < bs.value(313) == 100469666
+    assert f"and a_m = b_{2**62 - 3} >= b_313 = 100469666;" in err
     assert "--method recurrence" in err
 
     # the bound is inclusive: a_100 = 114
@@ -282,6 +285,17 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", 114)
     rc, out, _ = run_cli(capsys, "count", "100", "--method", "enumerate")
     assert rc == 0 and "a_m: 114" in out
+
+
+def test_count_enumerate_refuses_a_far_upper_half_without_halving(monkeypatch, capsys):
+    def no_halving(j):
+        raise AssertionError(f"halving b_{j}")
+
+    monkeypatch.setattr(counting, "_b_by_halving", no_halving)
+    m = 2**200 + 2**199 + 5
+    rc, out, err = run_cli(capsys, "count", str(m), "--method", "enumerate")
+    assert rc == 1 and out == ""
+    assert f"and a_m = b_{2**198 - 3} >= b_313 = 100469666;" in err
 
 
 def test_count_enumerate_at_its_budget_edge(capsys):
@@ -352,7 +366,7 @@ def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, caps
     for argv in (["count", str(2**64 + 5)], ["enum", str(2**64 + 5), "--limit", "1"]):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 1 and out == "", argv
-        assert f"a table of {hi} entries, about {hi * 125 // 10**6} MB;" in err
+        assert f"a table of {hi} entries, about {hi * 118 // 10**6} MB;" in err
 
     # 2^23 + 5 passes the cap, but a tabulates it only up to hi = 6291458;
     # a stub stands in for the table

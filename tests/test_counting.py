@@ -241,12 +241,23 @@ def test_build_table_extends_from_binade_and_half_edges():
         for start in ((1 << n) - 2, (3 << (n - 1)) - 4)
         for c in range(start, start + 5)
     ]
-    A, S = stride_two_sweep(cuts[-1] + 300)
+    A, S = stride_two_sweep(1 << 19)  # past 2^(n+1) for n = 18
     for c in cuts:
         table = CountTable()
         table._A, table._S = A[: c + 1], S[: c + 1]
         build_table(c + 300, table)
         assert table._A == A[: c + 301] and table._S == S[: c + 301], c
+    # The upper half is filled as one block of pairs (2t, 2t+1).  Cuts at
+    # 3*2^(n-1) - 2 .. 3*2^(n-1) + 2 start it at either parity, and the
+    # extensions end at 2^(n+1) - 3 .. 2^(n+1), one entry at a time, on
+    # either parity inside the block or just past it.
+    for n in range(4, 19):
+        for c in range((3 << (n - 1)) - 2, (3 << (n - 1)) + 3):
+            table = CountTable()
+            table._A, table._S = A[: c + 1], S[: c + 1]
+            for M in range((2 << n) - 3, (2 << n) + 1):
+                build_table(M, table)
+                assert table._A == A[: M + 1] and table._S == S[: M + 1], (c, M)
 
 
 def test_build_table_holds_two_ints_an_entry():
@@ -404,6 +415,34 @@ def test_b_counts_binary_partitions():
 
     for j in range(49):
         assert BinarySeries().value(j) == bp(2 * j, 1 << (2 * j).bit_length()), j
+
+
+def _v2(x):
+    return (x & -x).bit_length() - 1
+
+
+def test_b_meets_churchhouses_congruence():
+    """Churchhouse's congruence for the binary partition function b(n),
+    conjectured by Churchhouse (Proc. Cambridge Philos. Soc. 66, 1969) and
+    proved by Rødseth (ibid. 68, 1970) and Gupta (ibid. 70, 1971): for odd
+    n and k >= 1, b(2^(k+2) n) - b(2^k n) is divisible by 2^(floor(3k/2) + 2).
+    With b_j = b(2j), the difference is b_(2^(k+1) n) - b_(2^(k-1) n).  On
+    j <= 2^14 the least valuation over odd n is that power exactly, for
+    k = 1..7.  It checks far b_j by number theory, not by the halving that
+    computes them."""
+    b = BinarySeries().prefix(1 << 14)
+    for k in range(1, 8):
+        least = min(
+            _v2(b[n << (k + 1)] - b[n << (k - 1)])
+            for n in range(1, ((1 << 14) >> (k + 1)) + 1, 2)
+        )
+        assert least == 3 * k // 2 + 2, k
+    # 120-bit odd n, so b_j past 2^120 through value(), which halves there
+    rng = random.Random(1969)
+    for k in (3, 6, 9, 12):
+        n = rng.getrandbits(120) | 1 << 119 | 1
+        d = BinarySeries().value(n << (k + 1)) - BinarySeries().value(n << (k - 1))
+        assert d and _v2(d) >= 3 * k // 2 + 2, (k, n)
 
 
 def test_binary_series_grows_in_blocks_as_the_recurrence():
