@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
@@ -98,14 +99,9 @@ def _table_csv(M: int, table: CountTable) -> str:
 
 
 def _golden_table64() -> str:
-    from importlib import resources  # only selftest reads it; a costly import
-
-    return (
-        resources.files("mpart")
-        .joinpath("data")
-        .joinpath("golden_counts_64.csv")
-        .read_text(encoding="utf-8")
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "golden_counts_64.csv")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def cmd_verify(args) -> int:
@@ -164,7 +160,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    _require_table_fits(args.m)
+    _require_countable(args.m)
     # the full count comes from the counting engine, before the first byte;
     # the walk stops after --limit items (islice caps its bound at
     # sys.maxsize) and goes out a block at a time, as it is walked
@@ -180,19 +176,35 @@ def cmd_enum(args) -> int:
     return 0
 
 
-# Lower-half count and enum build no larger table: about 1 GB at 118 B an entry.
+# count, enum and table build a table of at most 2^23 entries, about 1 GB at
+# 118 B an entry.  series holds b_0..b_J twice, about 0.9 GB at the cap:
+# whole process, 131 MB at J = 10^6 and 269 MB at 2*10^6, and each term's
+# two ints grow by some 16 B more by J = 2^23.
 _MAX_TABLE = 2**23
+_MAX_SERIES = 6 * 10**6
+# A halving pass takes time growing as the bit length of m to the fifth.  At
+# 220 bits, a(2^219 + 2^218 + 5) took 4.8 s and a(2^219 + 2^218 - 1), whose
+# b_j has j a power of two and halves twice, 9.8 s (2.2 s at 191 bits and
+# 11.4 s at 224 for the two forms; in-process, Python 3.11.7, 2 vCPUs).
+_MAX_HALVED_BITS = 220
 
 
-def _require_table_fits(m: int) -> None:
-    # a with no table tabulates a lower-half m up to hi < m
-    if m > _MAX_TABLE and not in_upper_half(m):
+def _require_at_most(n: int, cap: int, needs: str, who: str) -> None:
+    if n > cap:
+        raise DomainError(f"{needs}; {who} at most {cap}")
+
+
+def _require_countable(m: int) -> None:
+    # a with no table tabulates a lower-half m up to hi < m, and halves an
+    # upper-half m past the table
+    if in_upper_half(m):
+        bits = m.bit_length()
+        needs = f"an upper-half m takes a halving pass on {bits} bits, whose time grows as bits^5"
+        _require_at_most(bits, _MAX_HALVED_BITS, needs, "count and enum halve")
+    elif m > _MAX_TABLE:
         hi = extension_range_m1(m).hi
-        if hi > _MAX_TABLE:
-            raise DomainError(
-                f"a lower-half m needs a table of {hi} entries, about {hi * 118 // 10**6} MB; "
-                f"count and enum build at most {_MAX_TABLE}"
-            )
+        needs = f"a lower-half m needs a table of {hi} entries, about {hi * 118 // 10**6} MB"
+        _require_at_most(hi, _MAX_TABLE, needs, "count and enum build")
 
 
 _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
@@ -237,8 +249,8 @@ def cmd_count(args) -> int:
     # for.  genfun is a DomainError outside the upper-half window.
     if method == "enumerate":
         _require_enumerable(m)
-    if method == "recurrence":
-        _require_table_fits(m)
+    elif method == "recurrence" or in_upper_half(m):
+        _require_countable(m)
     value = _COUNTERS[method](m)
     if args.format == "json":
         _emit_json({"kind": "count", "m": _jint(m), "count": _jint(value), "method": method})
@@ -250,6 +262,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
+    needs = f"table needs {args.M} entries, about {args.M * 118 // 10**6} MB"
+    _require_at_most(args.M, _MAX_TABLE, needs, "table builds")
     table = build_table(args.M)
     if args.format == "json":
         rows = _blocks([m, _jint(table[m])] for m in range(1, args.M + 1))
@@ -260,6 +274,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    needs = f"series needs b_0..b_{args.J} twice, about {(args.J + 1) * 145 // 10**6} MB"
+    _require_at_most(args.J, _MAX_SERIES, needs, "series takes J")
     bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
     if args.format == "json":
@@ -316,64 +332,48 @@ def build_parser() -> argparse.ArgumentParser:
             "sub-multiset sums cover every integer up to m."
         ),
     )
-    sub = parser.add_subparsers(dest="command", metavar="<command>")
+    sub = parser.add_subparsers(metavar="<command>", required=True)
 
-    def add_format(p, default=None):
-        p.add_argument("--format", choices=("csv", "json"), default=default)
+    def command(name, func, summary, formats=("json",), default=None):
+        # --format offers only the formats the command writes
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if formats:
+            p.add_argument("--format", choices=formats, default=default)
+        return p
 
-    p = sub.add_parser("verify", help="check a part list for coverage and minimality")
+    p = command("verify", cmd_verify, "check a part list for coverage and minimality")
     p.add_argument("parts", nargs="+", type=int, help="nondecreasing positive parts")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="generate a witness M-partition of m")
+    p = command("gen", cmd_gen, "generate a witness M-partition of m")
     p.add_argument("m", type=_positive)
     p.add_argument("--alg", type=int, choices=(1, 2, 3), default=1)
-    add_format(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("enum", help="list Mp(m) in lexicographic order")
+    p = command("enum", cmd_enum, "list Mp(m) in lexicographic order")
     p.add_argument("m", type=_positive)
     p.add_argument("--limit", type=_nonnegative, default=None, help="print at most N partitions")
-    add_format(p)
-    p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("count", help="compute a_m = |Mp(m)|")
+    p = command("count", cmd_count, "compute a_m = |Mp(m)|")
     p.add_argument("m", type=_positive)
     p.add_argument(
         "--method",
         choices=("recurrence", "enumerate", "genfun", "auto"),
         default="auto",
     )
-    add_format(p)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("table", help="emit rows (m, a_m) for 1 <= m <= M")
+    p = command("table", cmd_table, "emit rows (m, a_m) for 1 <= m <= M", ("csv", "json"), "csv")
     p.add_argument("M", type=_positive)
-    add_format(p, default="csv")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("series", help="emit b_0..b_J next to the series coefficients")
+    p = command("series", cmd_series, "emit b_0..b_J next to the series coefficients")
     p.add_argument("J", type=_nonnegative)
-    add_format(p)
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p.set_defaults(func=cmd_selftest)
+    command("selftest", cmd_selftest, "run the embedded invariant suite", ())
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("mpart: error: a command is required", file=sys.stderr)
-        return 2
-    if getattr(args, "format", None) == "csv" and args.command != "table":
-        print("error: --format csv is only supported by the table command", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     # parse_args kept the 4300-digit int-to-str limit; counts print past it
     digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     if digits:

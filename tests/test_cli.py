@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -22,6 +23,13 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+def refused_by_parser(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
 
 
 # ---------------------------------------------------------------- verify
@@ -87,9 +95,9 @@ def test_verify_requires_parts(capsys):
 
 
 def test_verify_rejects_csv_format(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--format", "csv", "1", "2")
-    assert rc == 2
-    assert "table" in err
+    rc, out, err = refused_by_parser(capsys, "verify", "--format", "csv", "1", "2")
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'csv'" in err
 
 
 # ---------------------------------------------------------------- gen
@@ -376,6 +384,38 @@ def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, caps
     assert run_cli(capsys, "enum", "8388613", "--limit", "0") == (0, "count: 7\n", "")
 
 
+def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, capsys):
+    # with the cap at 100 bits, a 101-bit upper half is refused before any
+    # halving; --method enumerate keeps its own bound, and genfun on a lower
+    # half its window message
+    monkeypatch.setattr(cli, "_MAX_HALVED_BITS", 100)
+    real = counting._b_by_halving
+
+    def no_halving(j):
+        raise AssertionError(f"halving b_{j}")
+
+    monkeypatch.setattr(counting, "_b_by_halving", no_halving)
+    far = str(2**100 + 2**99 + 5)
+    refusal = (
+        "error: an upper-half m takes a halving pass on 101 bits, whose time grows as "
+        "bits^5; count and enum halve at most 100\n"
+    )
+    methods = ([], *(["--method", m] for m in ("recurrence", "genfun", "auto")))
+    for argv in (*(["count", far, *m] for m in methods), ["enum", far, "--limit", "0"]):
+        assert run_cli(capsys, *argv, "--format", "json") == (1, "", refusal), argv
+    rc, out, err = run_cli(capsys, "count", far, "--method", "enumerate")
+    assert rc == 1 and out == "" and ">= b_313 = 100469666;" in err
+    rc, out, err = run_cli(capsys, "count", str(2**100 + 5), "--method", "genfun")
+    assert rc == 1 and out == "" and "is not in an upper-half window" in err
+
+    monkeypatch.setattr(counting, "_b_by_halving", real)
+    at_cap = 2**99 + 2**98 + 5
+    count = BinarySeries().value((2**100 - 1 - at_cap) // 2)
+    text = f"m: {at_cap}\na_m: {count}\nmethod: genfun\n"
+    assert run_cli(capsys, "count", str(at_cap)) == (0, text, "")
+    assert run_cli(capsys, "enum", str(at_cap), "--limit", "0") == (0, f"count: {count}\n", "")
+
+
 def test_counts_print_past_the_int_to_str_digit_limit(monkeypatch, capsys):
     digits = "1" + "0" * 5000  # 10**5000, longer than the 4300-digit default
     big = 10**5000
@@ -507,6 +547,39 @@ def test_series_streams_the_bytes_of_one_dump(capsys, monkeypatch, J):
     assert (False in payload["matches"]) == (J >= 4096)
 
 
+def test_table_and_series_refuse_past_their_caps_before_building(monkeypatch, capsys):
+    real = {name: getattr(cli, name) for name in ("build_table", "BinarySeries", "gf_coefficients")}
+
+    def built(*args):
+        raise AssertionError("built before the refusal")
+
+    for name in real:
+        monkeypatch.setattr(cli, name, built)
+    assert (cli._MAX_TABLE, cli._MAX_SERIES) == (2**23, 6 * 10**6)
+    for table_cap, series_cap, argv, refusal in (
+        (
+            2**23, 6 * 10**6, ("table", "8388609"),
+            "table needs 8388609 entries, about 989 MB; table builds at most 8388608",
+        ),
+        (
+            2**23, 6 * 10**6, ("series", "6000001"),
+            "series needs b_0..b_6000001 twice, about 870 MB; series takes J at most 6000000",
+        ),
+        (64, 6, ("table", "65"), "table needs 65 entries, about 0 MB; table builds at most 64"),
+        (64, 6, ("series", "7"), "series needs b_0..b_7 twice, about 0 MB; series takes J at most 6"),
+    ):
+        monkeypatch.setattr(cli, "_MAX_TABLE", table_cap)
+        monkeypatch.setattr(cli, "_MAX_SERIES", series_cap)
+        for fmt in ((), ("--format", "json")):
+            assert run_cli(capsys, *argv, *fmt) == (1, "", f"error: {refusal}\n"), argv
+
+    for name, value in real.items():
+        monkeypatch.setattr(cli, name, value)
+    assert run_cli(capsys, "table", "64") == (0, cli._golden_table64(), "")
+    rc, out, err = run_cli(capsys, "series", "6", "--format", "json")
+    assert rc == 0 and err == "" and json.loads(out)["rows"][-1] == [6, 20, 20]
+
+
 # ---------------------------------------------------------------- selftest
 
 
@@ -537,15 +610,29 @@ def test_selftest_detects_corrupted_golden(monkeypatch, capsys):
     ],
 )
 def test_csv_format_refused_outside_table(capsys, argv):
-    rc, out, err = run_cli(capsys, *argv)
+    rc, out, err = refused_by_parser(capsys, *argv)
     assert rc == 2 and out == ""
-    assert "table" in err
+    assert "invalid choice: 'csv'" in err
 
 
 def test_no_arguments_prints_usage_and_fails(capsys):
-    rc, out, err = run_cli(capsys)
+    rc, out, err = refused_by_parser(capsys)
     assert rc == 2 and out == ""
     assert "usage:" in err
+
+
+def test_format_offers_only_the_formats_each_command_writes():
+    parser = cli.build_parser()
+    (commands,) = (act for act in parser._actions if isinstance(act, argparse._SubParsersAction))
+    choices = {
+        name: next((act.choices for act in p._actions if "--format" in act.option_strings), None)
+        for name, p in commands.choices.items()
+    }
+    json_only = dict.fromkeys(("verify", "gen", "enum", "count", "series"), ("json",))
+    assert choices == {**json_only, "table": ("csv", "json"), "selftest": None}
+    # table writes CSV with no flag, the others their human output
+    assert parser.parse_args(["table", "3"]).format == "csv"
+    assert parser.parse_args(["series", "3"]).format is None
 
 
 # ---------------------------------------------------------------- cross-cutting
