@@ -177,34 +177,35 @@ def cmd_enum(args) -> int:
 
 
 # count, enum and table build a table of at most 2^23 entries, about 1 GB at
-# 118 B an entry.  series holds b_0..b_J twice, about 0.9 GB at the cap:
-# whole process, 131 MB at J = 10^6 and 269 MB at 2*10^6, and each term's
-# two ints grow by some 16 B more by J = 2^23.
+# 118 B an entry: a memory budget.  series holds b_0..b_J twice, about 138 B
+# a term (whole process, 269 MB at J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB
+# at 3*10^6).  Its JSON, the slower form, took 8.5 s at 2.5*10^6 and 12.1 s
+# at 3*10^6 (3.6 and 4.6 s in text), so the cap keeps it near the 10 s of
+# the slowest count.
 _MAX_TABLE = 2**23
-_MAX_SERIES = 6 * 10**6
-# A halving pass takes time growing as the bit length of m to the fifth.  At
-# 220 bits, a(2^219 + 2^218 + 5) took 4.8 s and a(2^219 + 2^218 - 1), whose
-# b_j has j a power of two and halves twice, 9.8 s (2.2 s at 191 bits and
-# 11.4 s at 224 for the two forms; in-process, Python 3.11.7, 2 vCPUs).
-_MAX_HALVED_BITS = 220
-
-
-def _require_at_most(n: int, cap: int, needs: str, who: str) -> None:
-    if n > cap:
-        raise DomainError(f"{needs}; {who} at most {cap}")
+_MAX_SERIES = 25 * 10**5
+# An upper-half m is b_j, j = _series_index(m), and halving b_j takes time
+# growing as the bit length of j to the fifth; a j the series cache reaches
+# by appending never halves, however large m is.  Of 218-bit j, 3*2^216
+# took 8.6 to 9.5 s, 7*2^215 9.2 s, 2^217 7.7 s and 2^218 - 1 4.2 s
+# (in-process, Python 3.11.7, 2 vCPUs).
+_MAX_HALVED_BITS = 218
 
 
 def _require_countable(m: int) -> None:
-    # a with no table tabulates a lower-half m up to hi < m, and halves an
-    # upper-half m past the table
+    # a with no table tabulates a lower-half m up to hi < m, and answers an
+    # upper-half m by b_j, halving a j past the series cache
     if in_upper_half(m):
-        bits = m.bit_length()
-        needs = f"an upper-half m takes a halving pass on {bits} bits, whose time grows as bits^5"
-        _require_at_most(bits, _MAX_HALVED_BITS, needs, "count and enum halve")
-    elif m > _MAX_TABLE:
-        hi = extension_range_m1(m).hi
-        needs = f"a lower-half m needs a table of {hi} entries, about {hi * 118 // 10**6} MB"
-        _require_at_most(hi, _MAX_TABLE, needs, "count and enum build")
+        if (bits := _series_index(m).bit_length()) > _MAX_HALVED_BITS:
+            raise DomainError(
+                f"an upper-half m is b_j with j of {bits} bits, whose halving time grows "
+                f"as bits^5; count and enum halve j of at most {_MAX_HALVED_BITS} bits"
+            )
+    elif m > _MAX_TABLE and (hi := extension_range_m1(m).hi) > _MAX_TABLE:
+        raise DomainError(
+            f"a lower-half m needs a table of {hi} entries, about {hi * 118 // 10**6} MB; "
+            f"count and enum build at most {_MAX_TABLE}"
+        )
 
 
 _COUNTERS = {"recurrence": a, "enumerate": count_by_enumeration, "genfun": a_upper_half_via_b}
@@ -262,8 +263,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_table(args) -> int:
-    needs = f"table needs {args.M} entries, about {args.M * 118 // 10**6} MB"
-    _require_at_most(args.M, _MAX_TABLE, needs, "table builds")
+    if args.M > _MAX_TABLE:
+        raise DomainError(
+            f"table needs {args.M} entries, about {args.M * 118 // 10**6} MB; "
+            f"table builds at most {_MAX_TABLE}"
+        )
     table = build_table(args.M)
     if args.format == "json":
         rows = _blocks([m, _jint(table[m])] for m in range(1, args.M + 1))
@@ -274,8 +278,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
-    needs = f"series needs b_0..b_{args.J} twice, about {(args.J + 1) * 145 // 10**6} MB"
-    _require_at_most(args.J, _MAX_SERIES, needs, "series takes J")
+    if args.J > _MAX_SERIES:
+        raise DomainError(
+            f"series needs b_0..b_{args.J} twice, about {(args.J + 1) * 138 // 10**6} MB; "
+            f"series takes J at most {_MAX_SERIES}"
+        )
     bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
     if args.format == "json":

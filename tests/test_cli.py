@@ -385,9 +385,9 @@ def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, caps
 
 
 def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, capsys):
-    # with the cap at 100 bits, a 101-bit upper half is refused before any
-    # halving; --method enumerate keeps its own bound, and genfun on a lower
-    # half its window message
+    # with the cap at 100 bits, an upper half whose j has 101 bits is refused
+    # before any halving; --method enumerate keeps its own bound, and genfun
+    # on a lower half its window message
     monkeypatch.setattr(cli, "_MAX_HALVED_BITS", 100)
     real = counting._b_by_halving
 
@@ -395,10 +395,10 @@ def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, c
         raise AssertionError(f"halving b_{j}")
 
     monkeypatch.setattr(counting, "_b_by_halving", no_halving)
-    far = str(2**100 + 2**99 + 5)
+    far = str(2**103 + 2**102 + 5)  # j = 2^101 - 3
     refusal = (
-        "error: an upper-half m takes a halving pass on 101 bits, whose time grows as "
-        "bits^5; count and enum halve at most 100\n"
+        "error: an upper-half m is b_j with j of 101 bits, whose halving time grows "
+        "as bits^5; count and enum halve j of at most 100 bits\n"
     )
     methods = ([], *(["--method", m] for m in ("recurrence", "genfun", "auto")))
     for argv in (*(["count", far, *m] for m in methods), ["enum", far, "--limit", "0"]):
@@ -409,11 +409,31 @@ def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, c
     assert rc == 1 and out == "" and "is not in an upper-half window" in err
 
     monkeypatch.setattr(counting, "_b_by_halving", real)
-    at_cap = 2**99 + 2**98 + 5
-    count = BinarySeries().value((2**100 - 1 - at_cap) // 2)
+    at_cap = 2**102 + 2**101 + 5  # j = 2^100 - 3
+    count = BinarySeries().value((2**103 - 1 - at_cap) // 2)
     text = f"m: {at_cap}\na_m: {count}\nmethod: genfun\n"
     assert run_cli(capsys, "count", str(at_cap)) == (0, text, "")
     assert run_cli(capsys, "enum", str(at_cap), "--limit", "0") == (0, f"count: {count}\n", "")
+
+
+def test_count_and_enum_answer_a_far_m_near_its_binade_top_without_halving(monkeypatch, capsys):
+    # the gate reads the bits of j, not of m: at the real cap, 2^300 - 1 has
+    # j = 0 and 2^301 - 8001 has j = 4000, both answered from the series
+    # cache with no halving pass
+    def no_halving(j):
+        raise AssertionError(f"halving b_{j}")
+
+    monkeypatch.setattr(counting, "_b_by_halving", no_halving)
+    top = str(2**300 - 1)
+    assert run_cli(capsys, "count", top) == (0, f"m: {top}\na_m: 1\nmethod: genfun\n", "")
+    powers = "+".join(str(1 << i) for i in range(300))
+    assert run_cli(capsys, "enum", top) == (0, f"{powers}\ncount: 1\n", "")
+    m = 2**301 - 8001
+    b = gf_coefficients(4000)[-1]
+    for method in ("recurrence", "genfun"):
+        text = f"m: {m}\na_m: {b}\nmethod: {method}\n"
+        assert run_cli(capsys, "count", str(m), "--method", method) == (0, text, "")
+    assert run_cli(capsys, "enum", str(m), "--limit", "0") == (0, f"count: {b}\n", "")
 
 
 def test_counts_print_past_the_int_to_str_digit_limit(monkeypatch, capsys):
@@ -555,15 +575,15 @@ def test_table_and_series_refuse_past_their_caps_before_building(monkeypatch, ca
 
     for name in real:
         monkeypatch.setattr(cli, name, built)
-    assert (cli._MAX_TABLE, cli._MAX_SERIES) == (2**23, 6 * 10**6)
+    assert (cli._MAX_TABLE, cli._MAX_SERIES) == (2**23, 25 * 10**5)
     for table_cap, series_cap, argv, refusal in (
         (
-            2**23, 6 * 10**6, ("table", "8388609"),
+            2**23, 25 * 10**5, ("table", "8388609"),
             "table needs 8388609 entries, about 989 MB; table builds at most 8388608",
         ),
         (
-            2**23, 6 * 10**6, ("series", "6000001"),
-            "series needs b_0..b_6000001 twice, about 870 MB; series takes J at most 6000000",
+            2**23, 25 * 10**5, ("series", "2500001"),
+            "series needs b_0..b_2500001 twice, about 345 MB; series takes J at most 2500000",
         ),
         (64, 6, ("table", "65"), "table needs 65 entries, about 0 MB; table builds at most 64"),
         (64, 6, ("series", "7"), "series needs b_0..b_7 twice, about 0 MB; series takes J at most 6"),
