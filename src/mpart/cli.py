@@ -314,12 +314,16 @@ def cmd_selftest(args) -> int:
 
 
 def _int_at_least(value: str, low: int, what: str) -> int:
-    # argparse would word a ValueError by this type function's name
+    # argparse would word a ValueError by this type function's name; past
+    # Python's int-parsing digit limit the length, not the value, is at fault
     try:
         if (n := int(value)) >= low:
             return n
     except ValueError:
-        pass
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and (digits := sum(map(str.isdecimal, value))) > limit:
+            msg = f"has {digits} digits, more than Python's int-parsing limit of {limit}"
+            raise argparse.ArgumentTypeError(msg) from None
     raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
 
 

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import comb
 from operator import add, lshift, sub
 
-from .core import DomainError, _require_positive
+from .core import DomainError, _require_positive, extension_range_m1
 
 
 def in_upper_half(m: int) -> bool:
@@ -67,8 +67,8 @@ class CountTable(Mapping[int, int]):
         #   S[t] = a_1 + ... + a_t
         # Nothing else is kept: build_table carries its subtraction term from
         # m - 2 to m and sums it afresh from S where it has none to carry.
-        # A repeats S[t] - S[t-1] so that table[m] and a(m) read a stored int;
-        # such reads set the latency percentiles of the count_table benchmark.
+        # A repeats S[t] - S[t-1] so that table[m], a(m) and a_simple(m) read
+        # a stored int; those reads set count_table's latency percentiles.
         # On an upper half a_2t = a_(2t+1), and the pair holds one int object.
         self._A = [0, 1]
         self._S = [0, 1]
@@ -138,11 +138,10 @@ def a(m: int, table: CountTable | None = None) -> int:
         return build_table(m, table)._A[m]
     if m == 1:
         return 1
-    n = m.bit_length() - 1
-    lo, hi = m >> 1, (m + (1 << (n - 1)) - 1) >> 1
-    S = build_table(hi)._S
+    r = extension_range_m1(m)
+    S = build_table(r.hi)._S
     m1s = (2 * m + 3) // 3
-    return S[hi] - S[lo - 1] - (_fresh_term(S, m, m1s, hi) if m1s <= hi else 0)
+    return S[r.hi] - S[r.lo - 1] - (_fresh_term(S, m, m1s, r.hi) if m1s <= r.hi else 0)
 
 
 def build_table(M: int, table: CountTable | None = None) -> CountTable:
@@ -229,17 +228,11 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 
     Valid exactly on the window 2^n + 2^(n-1) - 1 <= m < 2^(n+1), where
     every truncation extends and nothing is overcounted; elsewhere a
-    :class:`DomainError`.  One :meth:`CountTable.range_sum` after extending
-    the table to 2^n - 1 if needed.  Always equals :func:`a` on its domain.
+    :class:`DomainError`.  Reads entry m of the table, which :func:`build_table`
+    extends to m if needed, never the closed form.  Equals :func:`a` there.
     """
     _require_upper_half(m)
-    if table is None:
-        table = CountTable()
-    n = m.bit_length() - 1
-    hi = (1 << n) - 1
-    if hi > table.dense_limit:
-        build_table(hi, table)
-    return table.range_sum(m >> 1, hi)
+    return build_table(m, table)._A[m]
 
 
 # One halving pass computes b_j faster than a fresh series appends its

@@ -149,11 +149,16 @@ def test_c06_upper_half_closed_form_to_2_14(table14, bser):
 
 
 def test_c07_even_pairing_to_2_14(table14):
+    # build_table stores an upper-half pair (2t, 2t+1) as one int, so the
+    # table catches only a misaligned pair; below 2^10 the enumeration
+    # counter, which shares no code with the table, checks each pair too
     bad = []
     for m in range(2, 1 << 14, 2):
         n = m.bit_length() - 1
         if (3 << (n - 1)) <= m < (2 << n):
             if not a_even_pairing_check(m, table14):
+                bad.append(m)
+            elif m < 1 << 10 and count_by_enumeration(m) != count_by_enumeration(m + 1):
                 bad.append(m)
     ok = not bad
     _report("c07 even/odd pairing m<=2^14", ok)

@@ -458,6 +458,27 @@ def test_counts_print_past_the_int_to_str_digit_limit(monkeypatch, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_an_argument_past_the_digit_limit_is_refused_by_its_length(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the digit limit is off")
+    big = "1" + "0" * limit
+    why = f"has {limit + 1} digits, more than Python's int-parsing limit of {limit}"
+    for argv, name in (
+        (["count", big], "m"),
+        (["gen", big], "m"),
+        (["enum", "3", "--limit", big], "--limit"),
+    ):
+        code, out, err = refused_by_parser(capsys, *argv)
+        assert code == 2 and out == "", argv[0]
+        assert err.endswith(f"error: argument {name}: {why}\n")
+        assert big not in err
+    # verify reads its parts with int, in argparse's own wording
+    code, out, err = refused_by_parser(capsys, "verify", big)
+    assert code == 2 and out == "" and "argument parts: invalid int value" in err
+
+
 def test_count_json(capsys):
     rc, out, _ = run_cli(capsys, "count", "64", "--format", "json")
     assert json.loads(out) == {"kind": "count", "m": 64, "count": 908, "method": "recurrence"}

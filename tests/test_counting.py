@@ -41,6 +41,19 @@ def recurrence_oracle(m):
     )
 
 
+def upper_half_sum(m, prefix):
+    """a_m on the upper half by the paper's identity, the sum of a_i over
+    floor(m/2) <= i <= 2^n - 1, from running sums prefix[t] = a_1 + ... + a_t
+    that the test builds itself; reads neither the table's S nor range_sum."""
+    top = (1 << (m.bit_length() - 1)) - 1
+    return prefix[top] - prefix[(m >> 1) - 1]
+
+
+@pytest.fixture(scope="module")
+def prefix14(table14):
+    return list(accumulate((table14[m] for m in range(1, (1 << 14) + 1)), initial=0))
+
+
 def stride_two_sweep(M):
     """(A, S) of a_1..a_M by the dense sweep that ``build_table`` used to
     run: each subtraction term read afresh from a third array Q, the
@@ -316,7 +329,7 @@ def test_a_simple_examples():
     assert a_simple(63) == 1
     table = CountTable()
     assert a_simple(25, table) == 6
-    assert table.dense_limit == 15
+    assert table.dense_limit == 25
 
 
 def test_a_simple_rejects_lower_half():
@@ -329,10 +342,27 @@ def test_a_simple_rejects_lower_half():
         assert not isinstance(exc.value, DomainError)
 
 
-def test_a_simple_agrees_with_recurrence_everywhere(table14):
+def test_a_simple_agrees_with_recurrence_everywhere(table14, prefix14):
     for m in range(2, (1 << 14) + 1):
         if in_upper_half(m):
             assert a_simple(m, table14) == table14[m], m
+            assert upper_half_sum(m, prefix14) == table14[m], m
+
+
+def test_a_simple_reads_the_dense_table(table14, monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("a_simple answered by the closed form")
+
+    monkeypatch.setattr(counting, "a_upper_half_via_b", closed_form)
+    monkeypatch.setattr(counting, "_b_by_halving", closed_form)
+    for m in (2, 25, 1535, 2047, 3500, 12287, (1 << 14) - 1):
+        assert a_simple(m, table14) is table14[m], m
+    # m = 3500 lies in 2^11's upper half, which starts at 3071: cuts below
+    # and at 2^n - 1 = 2047, in the lower half, and in the upper half below m
+    for cut in (1, 100, 2046, 2047, 2500, 3070, 3071, 3499):
+        table = build_table(cut)
+        assert a_simple(3500, table) == table14[3500], cut
+        assert table.dense_limit == 3500, cut
 
 
 # ---------------------------------------------------------------- b series
@@ -549,11 +579,12 @@ def test_a_upper_half_via_b_rejects_lower_half():
 
 @settings(max_examples=60)
 @given(st.integers(2, 1 << 14))
-def test_upper_half_routes_agree(table14, bser, m):
+def test_upper_half_routes_agree(table14, prefix14, bser, m):
     if in_upper_half(m):
         want = table14[m]
         assert a_upper_half_via_b(m, bser) == want
         assert a_simple(m, table14) == want
+        assert upper_half_sum(m, prefix14) == want
 
 
 # ---------------------------------------------------------------- defect
