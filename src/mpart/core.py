@@ -109,9 +109,6 @@ class Partition(_Record):
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     @property
     def largest(self) -> int:
         return self.parts[-1]

@@ -37,9 +37,6 @@ class SumReachability(_Record):
 
     __slots__ = ("total", "bits")
 
-    def __contains__(self, s: int) -> bool:
-        return 0 <= s <= self.total and (self.bits >> s) & 1 == 1
-
     def is_complete(self) -> bool:
         """True iff every sum 0..total is attainable."""
         return self.bits == (1 << (self.total + 1)) - 1

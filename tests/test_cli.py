@@ -326,28 +326,52 @@ def _allow_small_tables_only(monkeypatch):
     monkeypatch.setattr(counting, "build_table", small_only)
 
 
+def _no_walk(m):
+    raise AssertionError("the walk started")
+
+
 def test_count_enumerate_refuses_a_far_lower_half_on_a_small_table(monkeypatch, capsys):
-    def no_walk(m):
-        raise AssertionError("the walk started")
+    monkeypatch.setitem(cli._COUNTERS, "enumerate", _no_walk)
+    a_2048 = counting.build_table(2048)[2048]
+    _allow_small_tables_only(monkeypatch)
 
-    monkeypatch.setitem(cli._COUNTERS, "enumerate", no_walk)
-    real = counting.build_table
-    a_2048, a_4097 = real(2048)[2048], real(4097)[4097]
-
-    # a bound within the budget falls back to the exact a_m
+    # past 2^12 the bound refuses alone, even at a budget it meets: 4097 >> 1 = 2048
     budget = cli._MAX_ENUMERATED
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", a_2048)
     rc, out, err = run_cli(capsys, "count", "4097", "--method", "enumerate")
     assert rc == 1 and out == ""
-    assert f"and a_m = {a_4097};" in err
+    assert f"and a_m >= a_2048 = {a_2048};" in err
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", budget)
 
     # 2^64 + 5 >> 53 = 2048: a_m >= a_2048, from a table of 2048 entries
-    _allow_small_tables_only(monkeypatch)
     rc, out, err = run_cli(capsys, "count", str(2**64 + 5), "--method", "enumerate")
     assert rc == 1 and out == ""
     assert f"and a_m >= a_2048 = {a_2048};" in err
     assert "--method recurrence" in err
+
+
+def test_every_far_lower_half_shifts_onto_a_count_past_the_enumerate_budget():
+    # the gate bounds a lower half m past 2^12 by a_(m >> s) alone, s =
+    # m.bit_length() - 12; the shift is monotone, so the edges of each
+    # binade's lower half stand for all of it
+    for n in range(12, 81):
+        for m in (2**n, 2**n + 1, 3 * 2 ** (n - 1) - 3, 3 * 2 ** (n - 1) - 2):
+            assert not counting.in_upper_half(m), m
+            assert 2048 <= m >> (m.bit_length() - 12) <= 3071, m
+    table = build_table(3071)
+    assert min(range(2048, 3072), key=table.__getitem__) == 3070
+    assert table[3070] == 2320518947 > cli._MAX_ENUMERATED
+
+
+def test_count_enumerate_never_counts_a_far_lower_half(monkeypatch, capsys):
+    # a budget past a_3070 is met by the bound, and the gate still refuses
+    # rather than count m itself, a table of about 2m/3 entries
+    monkeypatch.setitem(cli._COUNTERS, "enumerate", _no_walk)
+    _allow_small_tables_only(monkeypatch)
+    monkeypatch.setattr(cli, "_MAX_ENUMERATED", 3 * 10**9)
+    rc, out, err = run_cli(capsys, "count", str(3070 << 53), "--method", "enumerate")
+    assert rc == 1 and out == ""
+    assert "and a_m >= a_3070 = 2320518947;" in err
 
 
 def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, capsys):
@@ -762,17 +786,21 @@ def test_modules_import_only_the_modules_they_use():
 
 
 def test_module_entry_point_subprocess():
+    # the children find the package the tests import, with or without PYTHONPATH
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "mpart", "table", "8"],
         capture_output=True,
         text=True,
         check=False,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "m,a_m\n1,1\n2,1\n3,1\n4,1\n5,2\n6,1\n7,1\n8,3\n"
 
     proc = subprocess.run(
-        [sys.executable, "-m", "mpart"], capture_output=True, text=True, check=False
+        [sys.executable, "-m", "mpart"], capture_output=True, text=True, check=False, env=env
     )
     assert proc.returncode == 2
 

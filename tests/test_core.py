@@ -74,7 +74,6 @@ def test_partition_normalizes_and_caches_total():
     assert len(p) - 1 == 2  # index of the largest part
     assert p.largest == 4
     assert len(p) == 3
-    assert list(p) == [1, 2, 4]
     assert str(p) == "1+2+4"
     assert tuple(accumulate(p.parts)) == (1, 3, 7)
 
@@ -154,7 +153,7 @@ def test_is_m_examples():
     assert is_m_partition(P(1, 1, 2, 4))
     assert not is_m_partition(P(1, 1, 1, 5))
     # the failing example really does miss a sum
-    assert 4 not in subset_sums(P(1, 1, 1, 5))
+    assert subset_sums(P(1, 1, 1, 5)).bits >> 4 & 1 == 0
 
 
 def test_weak_but_not_minimal():
