@@ -18,7 +18,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from functools import partial
 from itertools import islice
 from operator import eq
 
@@ -55,24 +54,23 @@ def _jint(v: int):
 
 
 def _emit_json(payload: dict) -> None:
-    # the bytes of json.dumps(payload, separators=(", ", ": ")) + "\n", one
-    # value at a time; an iterator of lists stands for the one list they make
-    # up and goes out a list at a time, brackets cut off, never held whole
-    dumps = partial(json.dumps, separators=(", ", ": "))
+    # the bytes of json.dumps(payload) + "\n", one value at a time; an
+    # iterator of lists stands for the one list they make up and goes out a
+    # list at a time, brackets cut off, never held whole
     out = sys.stdout
     sep = "{"
     for key, value in payload.items():
-        out.write(f"{sep}{dumps(key)}: ")
+        out.write(f"{sep}{json.dumps(key)}: ")
         sep = ", "
         if isinstance(value, Iterator):
             out.write("[")
             inner = ""
             for items in value:
-                out.write(inner + dumps(items)[1:-1])
+                out.write(inner + json.dumps(items)[1:-1])
                 inner = ", "
             out.write("]")
         else:
-            out.write(dumps(value))
+            out.write(json.dumps(value))
     out.write("}\n")
 
 
@@ -110,11 +108,8 @@ def cmd_verify(args) -> int:
     weak = is_weak_m_partition(p)
     full = is_m_partition(p)
     n = num_parts(m) - 1
-    if m >= 2:
-        bounds = largest_part_bounds(m)
-        blo, bhi = bounds.lower, bounds.upper
-    else:
-        blo = bhi = 1  # Mp(1) = {[1]}
+    bounds = largest_part_bounds(m)
+    blo, bhi = bounds.lower, bounds.upper
     if args.format == "json":
         _emit_json(
             {
@@ -296,19 +291,15 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _selftest_groups() -> dict[str, bool]:
-    table = build_table(256)
-    groups = {}
-    groups["golden_table"] = _table_csv(64, table) == _golden_table64()
-    groups["recurrence_vs_enumeration"] = all(
-        table[m] == count_by_enumeration(m) for m in range(1, 257)
-    )
-    groups["series_bridge"] = gf_coefficients(512) == BinarySeries().prefix(512)
-    return groups
-
-
 def cmd_selftest(args) -> int:
-    groups = _selftest_groups()
+    table = build_table(256)
+    groups = {
+        "golden_table": _table_csv(64, table) == _golden_table64(),
+        "recurrence_vs_enumeration": all(
+            table[m] == count_by_enumeration(m) for m in range(1, 257)
+        ),
+        "series_bridge": gf_coefficients(512) == BinarySeries().prefix(512),
+    }
     for name, ok in groups.items():
         print(f"{name}: {'pass' if ok else 'fail'}")
     return 0 if all(groups.values()) else 1
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("enum", cmd_enum, "list Mp(m) in lexicographic order")
     p.add_argument("m", type=_positive)
-    p.add_argument("--limit", type=_nonnegative, default=None, help="print at most N partitions")
+    p.add_argument("--limit", type=_nonnegative, help="print at most N partitions")
 
     p = command("count", cmd_count, "compute a_m = |Mp(m)|")
     p.add_argument("m", type=_positive)

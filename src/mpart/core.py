@@ -195,17 +195,17 @@ class PartBounds(_Record):
 
 
 def largest_part_bounds(m: int) -> PartBounds:
-    """Largest-part interval for M-partitions of m (m >= 2):
+    """Largest-part interval for M-partitions of m (m >= 1):
 
         max(m - 2^n + 1, ceil((m - 2^(n-1) + 1) / 2))  <=  largest  <=  ceil(m/2)
 
-    All three bounds are attained (by the three generators).  The largest
-    part is m - m1 for m1 in :func:`extension_range_m1`, so the interval is
-    that range's complement.
+    All three bounds are attained (by the three generators).  For m >= 2
+    the largest part is m - m1 for m1 in :func:`extension_range_m1`, so the
+    interval is that range's complement; Mp(1) = {[1]} gives 1..1.
     """
     _require_positive(m)
-    if m < 2:
-        raise DomainError("largest-part bounds need m >= 2; Mp(1) is just [1]")
+    if m == 1:
+        return PartBounds(1, 1)
     r = extension_range_m1(m)
     return PartBounds(m - r.hi, m - r.lo)
 

@@ -413,15 +413,11 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
 
 
 def a_even_pairing_check(m: int, table: CountTable | None = None) -> bool:
-    """Whether a_m == a_(m+1); contractually always true for even m with
-    2^n + 2^(n-1) <= m < 2^(n+1) (both upper-half sums start at the same
-    floor).  Odd or out-of-window m is a :class:`DomainError`."""
+    """Whether a_m == a_(m+1); contractually always true for even m in an
+    upper half (both upper-half sums start at the same floor).  Odd m, or
+    even m outside :func:`in_upper_half`, is a :class:`DomainError`."""
     _require_positive(m)
     if m % 2:
         raise DomainError(f"pairing check needs even m, got {m}")
-    n = m.bit_length() - 1
-    if not (3 << (n - 1)) <= m < (2 << n):
-        raise DomainError(
-            f"m={m} outside the pairing window 2^n + 2^(n-1) <= m < 2^(n+1)"
-        )
+    _require_upper_half(m)
     return a(m, table) == a(m + 1, table)

@@ -239,17 +239,25 @@ def test_largest_part_bounds_examples():
     assert (b3.lower, b3.upper) == (2, 2)
 
 
-def test_largest_part_bounds_rejects_m_below_2():
-    with pytest.raises(DomainError):
-        largest_part_bounds(1)
+def test_largest_part_bounds_answer_m_1_and_reject_m_below_1():
+    assert largest_part_bounds(1) == PartBounds(1, 1)  # Mp(1) = {[1]}
     with pytest.raises(ValueError):
         largest_part_bounds(0)
 
 
 def test_bounds_ordered_everywhere():
-    for m in range(2, 4097):
+    for m in range(1, 4097):
         bd = largest_part_bounds(m)
         assert bd.lower <= bd.upper, m
+
+
+def test_bounds_are_the_extremes_of_the_enumerated_largest_parts():
+    seen = 0
+    for m in range(1, 129):
+        largest = [p.largest for p in iter_m_partitions(m)]
+        seen += len(largest)
+        assert largest_part_bounds(m) == PartBounds(min(largest), max(largest)), m
+    assert seen == 36789
 
 
 def test_only_two_lower_bounds_matter():

@@ -621,6 +621,15 @@ def test_even_pairing_examples(table14):
     assert a_even_pairing_check(60, table14)
 
 
+def test_even_pairing_window_is_the_upper_half(table14):
+    for m in range(2, 1 << 12, 2):
+        if in_upper_half(m):
+            assert a_even_pairing_check(m, table14) is True, m
+        else:
+            with pytest.raises(DomainError, match="upper-half window"):
+                a_even_pairing_check(m, table14)
+
+
 def test_even_pairing_domain_errors(table14):
     with pytest.raises(DomainError):
         a_even_pairing_check(25, table14)  # odd
