@@ -159,17 +159,15 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     the run m1s..hi of m1 with 3*m1 >= 2m + 1.  T(m) is carried from m - 2
     to m: with m1 -> m1 + 1 the first terms of T(m - 2) are those of T(m),
     and the window gains one term at the top and drops one or two at the
-    bottom.  Each parity keeps its own running T, summed afresh over its
-    window (about m/12 terms) when m - 2 had none, so an extension needs no
-    state beyond A and S.  Extending an already populated table, from any
-    cut, computes only the new entries and never rewrites an old one.
+    bottom.  The terms of m - 2 and m - 1 are held while a run lasts; its
+    first two m sum theirs afresh (about m/12 terms), so an extension needs
+    no state beyond A and S.  Extending a populated table, from any cut,
+    computes only the new entries and never rewrites an old one.
     """
     _require_positive(M, "M")
     if table is None:
         table = CountTable()
     A, S = table._A, table._S
-    # (m, T(m)) for the last m of each parity with a subtraction term
-    carried = [(0, 0), (0, 0)]
     start = len(A)
     while start <= M:
         n = start.bit_length() - 1
@@ -185,27 +183,28 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
             start = end + 1
             continue
         end = min(M, upper - 1)
+        h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
+        t2 = t1 = 0  # T(m - 2) and T(m - 1)
         for m in range(start, end + 1):
-            n = m.bit_length() - 1
             lo = m >> 1
-            hi = min((m + (1 << (n - 1)) - 1) >> 1, (1 << n) - 1)
+            hi = (m + h) >> 1
             val = S[hi] - S[lo - 1]
             m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
+            t = 0
             if m1s <= hi:
                 # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11: no index
                 # below is negative (Python would wrap it silently).
-                prev, t = carried[m & 1]
-                if prev == m - 2:
-                    # m - 2 is in the same lower half, so hi grew by one and
-                    # m1s by one or two from j
+                if m - 2 >= start:
+                    # hi grew by one and m1s by one or two from j, so hi - m1s
+                    # never grows in a half and m - 2 had a term too
                     j = (2 * m - 1) // 3
-                    t += S[(j >> 1) - 1] - S[(hi >> 1) - 1]
+                    t = t2 + S[(j >> 1) - 1] - S[(hi >> 1) - 1]
                     if j + 2 == m1s:
                         t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
                 else:
                     t = _fresh_term(S, m, m1s, hi)
-                carried[m & 1] = (m, t)
                 val -= t
+            t2, t1 = t1, t
             A.append(val)
             S.append(S[-1] + val)
         start = end + 1

@@ -273,12 +273,12 @@ def test_c09_property_suites(table14):
     # Weakness of prefixes is inherited (the inequalities only look left), so
     # prefix closure reduces to every prefix sum reaching its power floor.
     def check_stream(m, stream):
-        bd = largest_part_bounds(m) if m >= 2 else None
+        bd = largest_part_bounds(m)
         expected_len = num_parts(m)
         for p in stream:
             if len(p) != expected_len:
                 failures.append(("length", m, p.parts))
-            if bd is not None and not bd.lower <= p.largest <= bd.upper:
+            if not bd.lower <= p.largest <= bd.upper:
                 failures.append(("bounds", m, p.parts))
             s = 0
             for j, q in enumerate(p.parts):

@@ -273,6 +273,25 @@ def test_build_table_extends_from_binade_and_half_edges():
                 assert table._A == A[: M + 1] and table._S == S[: M + 1], (c, M)
 
 
+def test_lower_half_needs_no_clamp_and_carries_every_term():
+    # The two facts build_table's lower-half loop rests on, brute-forced over
+    # every lower-half m of the binades 2^4..2^16: hi = (m + 2^(n-1) - 1) >> 1
+    # is at most 2^n - 2, so extension_range_m1's clamp to 2^n - 1 never
+    # binds; and a subtraction term at m implies one at m - 2 whenever m - 2
+    # is in the same half, so past a run's first two m every term is carried.
+    for n in range(4, 17):
+        first, last = 1 << n, (3 << (n - 1)) - 2
+        has_term = {}
+        for m in range(first, last + 1):
+            hi = (m + (1 << (n - 1)) - 1) >> 1
+            assert hi <= (1 << n) - 2 and extension_range_m1(m).hi == hi, m
+            has_term[m] = (2 * m + 3) // 3 <= hi
+            assert has_term[m] == bool(extension_range_m12(hi, m)), m
+            if has_term[m] and m - 2 >= first:
+                assert has_term[m - 2], m
+        assert has_term[first] and not has_term[last], n
+
+
 def test_build_table_holds_two_ints_an_entry():
     # A and S only: traced bytes per entry of build_table(2**15), 88 B
     # measured on CPython 3.11, with about 15% headroom; the three arrays
