@@ -214,6 +214,7 @@ _MAX_ENUMERATED = 10**8
 
 
 def _require_enumerable(m: int) -> None:
+    limit = f"walks at most {_MAX_ENUMERATED} partitions"
     if in_upper_half(m):
         # a_m = b_j, and b_j increases with j: every j from the first b_J
         # past the budget on is refused with b_J, never with a far b_j
@@ -229,11 +230,10 @@ def _require_enumerable(m: int) -> None:
         s = max(m.bit_length() - 12, 0)
         if (a_m := a(m >> s)) <= _MAX_ENUMERATED and not s:
             return
-        bound = f"a_m >= a_{m >> s}" if s else "a_m"
-    raise DomainError(
-        f"--method enumerate walks at most {_MAX_ENUMERATED} partitions, "
-        f"and {bound} = {a_m}; use --method recurrence"
-    )
+        bound = "a_m"
+        if s:  # refused at any budget, even one that a_(m >> s) meets
+            limit, bound = "walks no lower half m >= 2^12", f"a_m >= a_{m >> s}"
+    raise DomainError(f"--method enumerate {limit}, and {bound} = {a_m}; use --method recurrence")
 
 
 def cmd_count(args) -> int:
@@ -395,4 +395,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say, `mpart table 200000 | head -1`).  As
+        # in the "Note on SIGPIPE" of Python's signal docs, devnull takes
+        # over stdout's fd, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

@@ -11,9 +11,10 @@ Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
 sum over one-step truncations (and from there to the series b_j), while the
 lower half needs the full recurrence with its subtraction term.  The dense
-table follows the split: it fills each upper half as one block of prefix-sum
-differences, a pair (2t, 2t+1) sharing one value, and each lower half entry
-by entry.
+table follows the split, one block of values per half-binade: each upper
+half a block of prefix-sum differences, a pair (2t, 2t+1) sharing one value,
+and each lower half a block whose subtraction term is carried from entry to
+entry.
 
 Counts are exact Python ints; b_j grows like exp(c * log^2 j) and would
 eventually wrap any fixed-width type.
@@ -65,8 +66,9 @@ class CountTable(Mapping[int, int]):
         # Dense arrays, valid on indices 0..dense_limit:
         #   A[t] = a_t (A[0] = 0 is padding, never a key)
         #   S[t] = a_1 + ... + a_t
-        # Nothing else is kept: build_table carries its subtraction term from
-        # m - 2 to m and sums it afresh from S where it has none to carry.
+        # Nothing else is kept: a lower half carries its subtraction term
+        # from m - 2 to m within the block and sums it afresh from S where it
+        # has none to carry.
         # A repeats S[t] - S[t-1] so that table[m], a(m) and a_simple(m) read
         # a stored int; those reads set count_table's latency percentiles.
         # On an upper half a_2t = a_(2t+1), and the pair holds one int object.
@@ -126,43 +128,32 @@ def a(m: int, table: CountTable | None = None) -> int:
     A lower-half m extends a given ``table`` densely up to m with
     :func:`build_table`, two stored ints an entry, and reads it.  With no
     table, it tabulates only up to hi = floor((m + 2^(n-1) - 1)/2), the
-    last index its entry reads, which is 2/3 to 3/4 of m, and sums that one
-    entry from there.
+    last index its entry reads, which is 2/3 to 3/4 of m, and computes that
+    one entry from there as :func:`build_table` would.
     """
     _require_positive(m)
     if table is not None and m <= table.dense_limit:
         return table._A[m]
     if in_upper_half(m):
         return a_upper_half_via_b(m)
-    if table is not None:
+    if table is not None or m == 1:
         return build_table(m, table)._A[m]
-    if m == 1:
-        return 1
-    r = extension_range_m1(m)
-    S = build_table(r.hi)._S
-    m1s = (2 * m + 3) // 3
-    return S[r.hi] - S[r.lo - 1] - (_fresh_term(S, m, m1s, r.hi) if m1s <= r.hi else 0)
+    S = build_table(extension_range_m1(m).hi)._S
+    return _lower_half(S, m.bit_length() - 1, m, m)[0]
 
 
 def build_table(M: int, table: CountTable | None = None) -> CountTable:
     """Tabulate a_1..a_M bottom-up in amortized O(1) big-int ops per entry,
     one half-binade at a time.
 
-    On an upper half, 2^n + 2^(n-1) - 1 <= m < 2^(n+1), no truncation
-    fails, so a_m = S[2^n - 1] - S[m//2 - 1] and the pair (2t, 2t+1) shares
-    one value.  The whole half is one block: a slice of S subtracted from
-    S[2^n - 1], each difference stored twice as one int, and the prefix
-    sums of the block appended to S.
-
-    On a lower half the outer sum is one prefix-sum difference, less the
-    subtraction term T(m), the sum of S[2*m1 - m - 1] - S[m1//2 - 1] over
-    the run m1s..hi of m1 with 3*m1 >= 2m + 1.  T(m) is carried from m - 2
-    to m: with m1 -> m1 + 1 the first terms of T(m - 2) are those of T(m),
-    and the window gains one term at the top and drops one or two at the
-    bottom.  The terms of m - 2 and m - 1 are held while a run lasts; its
-    first two m sum theirs afresh (about m/12 terms), so an extension needs
-    no state beyond A and S.  Extending a populated table, from any cut,
-    computes only the new entries and never rewrites an old one.
+    Every entry of binade n reads S only below 2^n, so each half-binade
+    is one block of values, appended to A and its prefix sums to S.  On an
+    upper half, 2^n + 2^(n-1) - 1 <= m < 2^(n+1), no truncation fails, so
+    a_m = S[2^n - 1] - S[m//2 - 1] and the pair (2t, 2t+1) shares one
+    value: a slice of S subtracted from S[2^n - 1], each difference stored
+    twice as one int.  A lower half is :func:`_lower_half`.  Extending a
+    populated table, from any cut, computes only the new entries and never
+    rewrites an old one.
     """
     _require_positive(M, "M")
     if table is None:
@@ -178,48 +169,56 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
             half = [top - s for s in S[(start >> 1) - 1 : end >> 1]]
             pairs = chain.from_iterable(zip(half, half))
             vals = list(islice(pairs, start & 1, (start & 1) + end - start + 1))
-            A += vals
-            S += islice(accumulate(vals, initial=S[-1]), 1, None)
-            start = end + 1
-            continue
-        end = min(M, upper - 1)
-        h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
-        t2 = t1 = 0  # T(m - 2) and T(m - 1)
-        for m in range(start, end + 1):
-            lo = m >> 1
-            hi = (m + h) >> 1
-            val = S[hi] - S[lo - 1]
-            m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
-            t = 0
-            if m1s <= hi:
-                # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11: no index
-                # below is negative (Python would wrap it silently).
-                if m - 2 >= start:
-                    # hi grew by one and m1s by one or two from j, so hi - m1s
-                    # never grows in a half and m - 2 had a term too
-                    j = (2 * m - 1) // 3
-                    t = t2 + S[(j >> 1) - 1] - S[(hi >> 1) - 1]
-                    if j + 2 == m1s:
-                        t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
-                else:
-                    t = _fresh_term(S, m, m1s, hi)
-                val -= t
-            t2, t1 = t1, t
-            A.append(val)
-            S.append(S[-1] + val)
+        else:
+            end = min(M, upper - 1)
+            vals = _lower_half(S, n, start, end)
+        A += vals
+        S += islice(accumulate(vals, initial=S[-1]), 1, None)
         start = end + 1
     return table
 
 
-def _fresh_term(S: list[int], m: int, m1s: int, hi: int) -> int:
-    """The subtraction term of m, summed afresh from S over m1 = m1s..hi:
-    S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even m1, then
-    for the odd."""
-    return (
-        sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
-        - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
-        - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
-    )
+def _lower_half(S: list[int], n: int, start: int, end: int) -> list[int]:
+    """a_start..a_end, start <= end, on the lower half of binade n,
+    2^n <= m < 2^n + 2^(n-1) - 1, read from S[:2^n] alone.
+
+    The outer sum is one prefix-sum difference, less the subtraction term
+    T(m), the sum of S[2*m1 - m - 1] - S[m1//2 - 1] over the run m1s..hi of
+    m1 with 3*m1 >= 2m + 1.  T(m) is carried from m - 2 to m: with
+    m1 -> m1 + 1 the first terms of T(m - 2) are those of T(m), and the
+    window gains one term at the top and drops one or two at the bottom.
+    The terms of m - 2 and m - 1 are held while a run lasts; its first two
+    m sum theirs afresh from S (about m/12 terms), so no state is needed
+    beyond S.
+    """
+    h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
+    vals = []
+    t2 = t1 = 0  # T(m - 2) and T(m - 1)
+    for m in range(start, end + 1):
+        hi = (m + h) >> 1
+        m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
+        t = 0
+        if m1s <= hi:
+            # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11: no index
+            # below is negative (Python would wrap it silently).
+            if m - 2 >= start:
+                # hi grew by one and m1s by one or two from j, so hi - m1s
+                # never grows in a half and m - 2 had a term too
+                j = (2 * m - 1) // 3
+                t = t2 + S[(j >> 1) - 1] - S[(hi >> 1) - 1]
+                if j + 2 == m1s:
+                    t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
+            else:
+                # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the
+                # even m1, then for the odd
+                t = (
+                    sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
+                    - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
+                    - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
+                )
+        t2, t1 = t1, t
+        vals.append(S[hi] - S[(m >> 1) - 1] - t)
+    return vals
 
 
 def a_simple(m: int, table: CountTable | None = None) -> int:

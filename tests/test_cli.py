@@ -371,7 +371,7 @@ def test_count_enumerate_never_counts_a_far_lower_half(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_MAX_ENUMERATED", 3 * 10**9)
     rc, out, err = run_cli(capsys, "count", str(3070 << 53), "--method", "enumerate")
     assert rc == 1 and out == ""
-    assert "and a_m >= a_3070 = 2320518947;" in err
+    assert "walks no lower half m >= 2^12, and a_m >= a_3070 = 2320518947;" in err
 
 
 def test_count_and_enum_refuse_a_lower_half_table_past_the_cap(monkeypatch, capsys):
@@ -785,10 +785,14 @@ def test_modules_import_only_the_modules_they_use():
     assert proc.stdout == "['mpart.core']\n['mpart.core', 'mpart.counting']\n"
 
 
-def test_module_entry_point_subprocess():
+def _child_env():
     # the children find the package the tests import, with or without PYTHONPATH
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_module_entry_point_subprocess():
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "mpart", "table", "8"],
         capture_output=True,
@@ -803,6 +807,20 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "mpart"], capture_output=True, text=True, check=False, env=env
     )
     assert proc.returncode == 2
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # `mpart table 200000 | head -1`: the reader leaves after one line, long
+    # before the rows fit in the pipe, and the writer exits 1 without a word
+    argv = [sys.executable, "-m", "mpart", "table", "200000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    ) as proc:
+        assert proc.stdout.readline() == b"m,a_m\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 # ---------------------------------------------------------------- argument fuzz

@@ -16,6 +16,7 @@ from mpart.counting import (
     BinarySeries,
     CountTable,
     _b_by_halving,
+    _lower_half,
     a,
     a_even_pairing_check,
     a_simple,
@@ -290,6 +291,38 @@ def test_lower_half_needs_no_clamp_and_carries_every_term():
             if has_term[m] and m - 2 >= first:
                 assert has_term[m - 2], m
         assert has_term[first] and not has_term[last], n
+
+
+class _Bounded(list):
+    """A list that raises on any index or slice bound outside it, where a
+    plain list would wrap a negative one or clip a slice."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            inside = all(b is None or 0 <= b <= len(self) for b in (i.start, i.stop))
+        else:
+            inside = 0 <= i < len(self)
+        if not inside:
+            raise IndexError(i)
+        return super().__getitem__(i)
+
+
+def test_lower_half_reads_only_S_below_its_binade():
+    # build_table appends each lower half in one step, so no entry of it may
+    # read S at 2^n or past it.  Starts at the first, second, middle and last
+    # two m of each half, ends at start, start + 3 and the half's last m.
+    table = build_table(1 << 15)
+    ranges = 0
+    for n in range(2, 15):
+        first, last = 1 << n, (3 << (n - 1)) - 2
+        below = _Bounded(table._S[: 1 << n])
+        starts = {first, first + 1, (first + last) // 2, last - 1, last}
+        for start in starts & {*range(first, last + 1)}:
+            for end in {start, min(start + 3, last), last}:
+                got = _lower_half(below, n, start, end)
+                assert got == table._A[start : end + 1], (n, start, end)
+                ranges += 1
+    assert ranges == 137
 
 
 def test_build_table_holds_two_ints_an_entry():
