@@ -11,8 +11,6 @@ that read numbers into doubles never lose digits; counts in human mode are
 always full decimal.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -28,6 +26,7 @@ from .core import (
     generate_alg1,
     generate_alg2,
     generate_alg3,
+    in_upper_half,
     is_m_partition,
     is_weak_m_partition,
     largest_part_bounds,
@@ -41,7 +40,6 @@ from .counting import (
     a_upper_half_via_b,
     build_table,
     gf_coefficients,
-    in_upper_half,
 )
 from .enumeration import count_by_enumeration, iter_m_partitions
 
@@ -103,7 +101,7 @@ def _golden_table64() -> str:
 
 
 def cmd_verify(args) -> int:
-    p = Partition(tuple(args.parts))  # ValueError here names the violation
+    p = Partition(args.parts)  # ValueError here names the violation
     m = p.total
     weak = is_weak_m_partition(p)
     full = is_m_partition(p)

@@ -9,8 +9,6 @@ pass.  All arithmetic is exact Python integers; floating point never enters
 every caller).
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator
 
 
@@ -151,7 +149,7 @@ def generate_alg1(m: int) -> Partition:
     parts = [1 << i for i in range(n)]
     parts.append(m - ((1 << n) - 1))
     parts.sort()
-    return Partition(tuple(parts))
+    return Partition(parts)
 
 
 def generate_alg2(m: int) -> Partition:
@@ -163,7 +161,7 @@ def generate_alg2(m: int) -> Partition:
     while rem:
         rev.append((rem + 1) >> 1)
         rem >>= 1
-    return Partition(tuple(reversed(rev)))
+    return Partition(reversed(rev))
 
 
 def generate_alg3(m: int) -> Partition:
@@ -179,13 +177,12 @@ def generate_alg3(m: int) -> Partition:
     n = m.bit_length() - 1
     if n < 2:
         raise DomainError(f"the split construction needs m >= 4, got {m}")
-    lo, hi = 1 << n, (1 << n) + (1 << (n - 1)) - 2
-    if m > hi:
-        raise DomainError(f"m={m} outside the admissible window [{lo}, {hi}]")
+    if in_upper_half(m):
+        raise DomainError(f"m={m} outside the admissible window [{1 << n}, {(3 << (n - 1)) - 2}]")
     res = m - ((1 << (n - 1)) - 1)
     parts = [1 << i for i in range(n - 1)]
     parts.extend((res >> 1, (res + 1) >> 1))
-    return Partition(tuple(parts))
+    return Partition(parts)
 
 
 class PartBounds(_Record):
@@ -203,7 +200,6 @@ def largest_part_bounds(m: int) -> PartBounds:
     the largest part is m - m1 for m1 in :func:`extension_range_m1`, so the
     interval is that range's complement; Mp(1) = {[1]} gives 1..1.
     """
-    _require_positive(m)
     if m == 1:
         return PartBounds(1, 1)
     r = extension_range_m1(m)
@@ -227,6 +223,15 @@ class ExtensionRange(_Record):
 
     def __contains__(self, x: int) -> bool:
         return self.lo <= x <= self.hi
+
+
+def in_upper_half(m: int) -> bool:
+    """Whether m lies in its binade's upper-half window
+    2^n + 2^(n-1) - 1 <= m <= 2^(n+1) - 1 (defined for n >= 1, so m >= 2)."""
+    if m < 2:
+        return False
+    n = m.bit_length() - 1
+    return m >= (3 << (n - 1)) - 1
 
 
 def extension_range_m1(m: int) -> ExtensionRange:

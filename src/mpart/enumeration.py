@@ -20,8 +20,6 @@ The oracle side is deliberately naive: a dense reachability bitmask over
 inequality characterization it is used to validate.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 
 from .core import Partition, _Record, _require_positive

@@ -32,6 +32,16 @@ def refused_by_parser(capsys, *argv):
     return exc.value.code, out, err
 
 
+def jint(v):
+    # the CLI's JSON integers: past 2**53 - 1 they travel as decimal strings
+    return v if v < 2**53 else str(v)
+
+
+def no_halving(j):
+    # stands in for counting._b_by_halving where a route must not halve
+    raise AssertionError(f"halving b_{j}")
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -205,9 +215,6 @@ def test_enum_limit_stops_the_walk_at_large_m(capsys):
 def test_enum_json_streams_the_bytes_of_one_dump(capsys):
     # the 9618 partitions of 150 span three output blocks; past 2**53 - 1,
     # m and the parts travel as decimal strings
-    def jint(v):
-        return v if v < 2**53 else str(v)
-
     for m, limit in ((150, None), (2**64 + 2**63 + 5, 3)):
         argv = ["enum", str(m), "--format", "json"]
         argv += [] if limit is None else ["--limit", str(limit)]
@@ -296,9 +303,6 @@ def test_count_enumerate_refuses_past_its_bound(monkeypatch, capsys):
 
 
 def test_count_enumerate_refuses_a_far_upper_half_without_halving(monkeypatch, capsys):
-    def no_halving(j):
-        raise AssertionError(f"halving b_{j}")
-
     monkeypatch.setattr(counting, "_b_by_halving", no_halving)
     m = 2**200 + 2**199 + 5
     rc, out, err = run_cli(capsys, "count", str(m), "--method", "enumerate")
@@ -415,9 +419,6 @@ def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, c
     monkeypatch.setattr(cli, "_MAX_HALVED_BITS", 100)
     real = counting._b_by_halving
 
-    def no_halving(j):
-        raise AssertionError(f"halving b_{j}")
-
     monkeypatch.setattr(counting, "_b_by_halving", no_halving)
     far = str(2**103 + 2**102 + 5)  # j = 2^101 - 3
     refusal = (
@@ -444,9 +445,6 @@ def test_count_and_enum_answer_a_far_m_near_its_binade_top_without_halving(monke
     # the gate reads the bits of j, not of m: at the real cap, 2^300 - 1 has
     # j = 0 and 2^301 - 8001 has j = 4000, both answered from the series
     # cache with no halving pass
-    def no_halving(j):
-        raise AssertionError(f"halving b_{j}")
-
     monkeypatch.setattr(counting, "_b_by_halving", no_halving)
     top = str(2**300 - 1)
     assert run_cli(capsys, "count", top) == (0, f"m: {top}\na_m: 1\nmethod: genfun\n", "")
@@ -592,9 +590,6 @@ def test_series_streams_the_bytes_of_one_dump(capsys, monkeypatch, J):
     if J >= 4096:
         cs[4096] += 1
     monkeypatch.setattr(cli, "gf_coefficients", lambda n: list(cs))
-
-    def jint(v):
-        return v if v < 2**53 else str(v)
 
     rc, out, _ = run_cli(capsys, "series", str(J))
     assert rc == 0

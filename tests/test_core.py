@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mpart.core
+import mpart.counting
 from mpart.core import (
     DomainError,
     ExtensionRange,
@@ -18,6 +20,7 @@ from mpart.core import (
     generate_alg1,
     generate_alg2,
     generate_alg3,
+    in_upper_half,
     is_m_partition,
     is_weak_m_partition,
     largest_part_bounds,
@@ -206,6 +209,26 @@ def test_alg3_domain_errors():
         generate_alg3(47)
 
 
+def test_alg3_refuses_exactly_the_upper_half_window():
+    # generate_alg3 refuses by core's in_upper_half, the one definition that
+    # counting re-exports; every m the split admits gives an M-partition of m
+    assert mpart.counting.in_upper_half is mpart.core.in_upper_half
+    for m in range(1, 4097):
+        n = m.bit_length() - 1
+        hi = 2**n + 2**(n - 1) - 2
+        if m < 4:
+            with pytest.raises(DomainError):
+                generate_alg3(m)
+        elif not in_upper_half(m):
+            p = generate_alg3(m)
+            assert m <= hi and p.total == m and is_m_partition(p), m
+        else:
+            with pytest.raises(DomainError) as e:
+                generate_alg3(m)
+            assert m > hi
+            assert str(e.value) == f"m={m} outside the admissible window [{2**n}, {hi}]"
+
+
 def test_generators_reject_zero():
     for gen in (generate_alg1, generate_alg2, generate_alg3):
         with pytest.raises(ValueError):
@@ -241,8 +264,10 @@ def test_largest_part_bounds_examples():
 
 def test_largest_part_bounds_answer_m_1_and_reject_m_below_1():
     assert largest_part_bounds(1) == PartBounds(1, 1)  # Mp(1) = {[1]}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
         largest_part_bounds(0)
+    with pytest.raises(ValueError, match="m must be a positive integer, got -3"):
+        largest_part_bounds(-3)
 
 
 def test_bounds_ordered_everywhere():
