@@ -170,9 +170,9 @@ def cmd_enum(args) -> int:
 
 
 # count, enum and table build a table of at most 2^23 entries, about 1 GB at
-# 118 B an entry: count 12582910, the largest lower half admitted, took 6.6
-# and 6.8 s and table 8388608 13.6 and 14.1 s, each at 966 MB (whole process,
-# Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
+# 118 B an entry: count 12582910, the largest lower half admitted, took 3.4
+# and 3.5 s and table 8388608 8.6 and 8.0 s, each at 957 to 962 MB (whole
+# process, Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
 # a term (whole process, 269 MB at J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB
 # at 3*10^6).  Its JSON, the slower form, took 8.5 s at 2.5*10^6 and 12.1 s
 # at 3*10^6 (3.6 and 4.6 s in text), so the cap keeps it near the 10 s of

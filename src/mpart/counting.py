@@ -13,8 +13,9 @@ sum over one-step truncations (and from there to the series b_j), while the
 lower half needs the full recurrence with its subtraction term.  The dense
 table follows the split, one block of values per half-binade: each upper
 half a block of prefix-sum differences, a pair (2t, 2t+1) sharing one value,
-and each lower half a block whose subtraction term is carried from entry to
-entry.
+and each lower half a block whose subtraction term takes one step,
+T(m) = T(m - 2) + S[ceil(m/3) - 2] - S[(m + 2^(n-1) - 1)//4 - 1], from m - 2
+to m: a running sum for each parity of m.
 
 Counts are exact Python ints; b_j grows like exp(c * log^2 j) and would
 eventually wrap any fixed-width type.
@@ -55,9 +56,9 @@ class CountTable(Mapping[int, int]):
         # Dense arrays, valid on indices 0..dense_limit:
         #   A[t] = a_t (A[0] = 0 is padding, never a key)
         #   S[t] = a_1 + ... + a_t
-        # Nothing else is kept: a lower half carries its subtraction term
-        # from m - 2 to m within the block and sums it afresh from S where it
-        # has none to carry.
+        # Nothing else is kept: a lower half steps its subtraction term from
+        # m - 2 to m as a running sum over slices of S, and sums only the
+        # first term of each parity afresh from S.
         # A repeats S[t] - S[t-1] so that table[m], a(m) and a_simple(m) read
         # a stored int; those reads set count_table's latency percentiles.
         # On an upper half a_2t = a_(2t+1), and the pair holds one int object.
@@ -140,9 +141,11 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     upper half, 2^n + 2^(n-1) - 1 <= m < 2^(n+1), no truncation fails, so
     a_m = S[2^n - 1] - S[m//2 - 1] and the pair (2t, 2t+1) shares one
     value: a slice of S subtracted from S[2^n - 1], each difference stored
-    twice as one int.  A lower half is :func:`_lower_half`.  Extending a
-    populated table, from any cut, computes only the new entries and never
-    rewrites an old one.
+    twice as one int.  A lower half is :func:`_lower_half`, whose subtraction
+    term is a running sum, for each parity of m, of the one step
+    T(m) - T(m - 2) = S[ceil(m/3) - 2] - S[(m + 2^(n-1) - 1)//4 - 1].
+    Extending a populated table, from any cut, computes only the new entries
+    and never rewrites an old one.
     """
     _require_positive(M, "M")
     if table is None:
@@ -169,44 +172,48 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
 
 def _lower_half(S: list[int], n: int, start: int, end: int) -> list[int]:
     """a_start..a_end, start <= end, on the lower half of binade n,
-    2^n <= m < 2^n + 2^(n-1) - 1, read from S[:2^n] alone.
+    2^n <= m < 2^n + 2^(n-1) - 1, read from S[:2^n] alone, one block for
+    each parity of m.
 
-    The outer sum is one prefix-sum difference, less the subtraction term
-    T(m), the sum of S[2*m1 - m - 1] - S[m1//2 - 1] over the run m1s..hi of
-    m1 with 3*m1 >= 2m + 1.  T(m) is carried from m - 2 to m: with
-    m1 -> m1 + 1 the first terms of T(m - 2) are those of T(m), and the
-    window gains one term at the top and drops one or two at the bottom.
-    The terms of m - 2 and m - 1 are held while a run lasts; its first two
-    m sum theirs afresh from S (about m/12 terms), so no state is needed
-    beyond S.
+    The outer sum S[hi] - S[m//2 - 1], hi = (m + h)//2 with h = 2^(n-1) - 1,
+    is less the subtraction term T(m), the sum of S[2*m1 - m - 1] -
+    S[m1//2 - 1] over the run m1s..hi of m1 with 3*m1 >= 2m + 1.  From m - 2
+    to m that run moves up by one m1, and what changes sums to one step:
+
+        T(m) = T(m - 2) + S[ceil(m/3) - 2] - S[(m + h)//4 - 1],
+
+    which holds at every m of the half.  Below m = 16 no m has a term; from
+    2^4 on, the m of a half without one are exactly its last m = 3*2^(n-1) - 2
+    and last - 1, last - 2 and last - 4, where the step takes T down to 0.
+    So each parity sums its first T afresh from S (about m/12 terms) and the
+    rest is one running sum over two repeated slices of S, or it is the outer
+    sum alone if its first m has no term.
     """
     h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
-    vals = []
-    t2 = t1 = 0  # T(m - 2) and T(m - 1)
-    for m in range(start, end + 1):
-        hi = (m + h) >> 1
-        m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
-        t = 0
-        if m1s <= hi:
-            # Taken from m = 16 on, where m1s >= (2m + 1)/3 >= 11: no index
-            # below is negative (Python would wrap it silently).
-            if m - 2 >= start:
-                # hi grew by one and m1s by one or two from j, so hi - m1s
-                # never grows in a half and m - 2 had a term too
-                j = (2 * m - 1) // 3
-                t = t2 + S[(j >> 1) - 1] - S[(hi >> 1) - 1]
-                if j + 2 == m1s:
-                    t += S[((j + 1) >> 1) - 1] - S[2 * m1s - m - 3]
-            else:
-                # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the
-                # even m1, then for the odd
-                t = (
-                    sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
-                    - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
-                    - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
-                )
-        t2, t1 = t1, t
-        vals.append(S[hi] - S[(m >> 1) - 1] - t)
+    last = h + (1 << n) - 1  # even m have a term up to last - 6, odd m to last - 3
+    vals = [0] * (end - start + 1)
+    for m in range(start, min(start + 1, end) + 1):
+        hi, lo = (m + h) >> 1, (m >> 1) - 1
+        k = (end - m) // 2 + 1  # m, m + 2, ..., end
+        outer = map(sub, S[hi : hi + k], S[lo : lo + k])
+        if m <= last - 6 + 3 * (m & 1):  # T(m) has a term
+            m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
+            # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even
+            # m1, then for the odd
+            t = (
+                sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
+                - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
+                - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
+            )
+            # The step to m + 2i, 0 < i < k: S[ceil((m + 2i)/3) - 2] is every
+            # other entry of a slice repeated thrice, S[(hi + i)//2 - 1] one of
+            # a slice repeated twice.
+            up = S[(m + 4) // 3 - 2 : (m + 2 * k) // 3 - 1]
+            down = S[(hi >> 1) - 1 : (hi + k - 1) >> 1]
+            ups = islice(chain.from_iterable(zip(up, up, up)), (m + 4) % 3, None, 2)
+            downs = islice(chain.from_iterable(zip(down, down)), (hi & 1) + 1, None)
+            outer = map(sub, outer, accumulate(map(sub, ups, downs), initial=t))
+        vals[m - start :: 2] = outer
     return vals
 
 

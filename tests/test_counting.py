@@ -256,6 +256,9 @@ def test_build_table_extends_from_binade_and_half_edges():
         for c in range(start, start + 5)
     ]
     A, S = stride_two_sweep(1 << 19)  # past 2^(n+1) for n = 18
+    # whole, so the middle of every lower half up to 2^18 is compared too
+    table = build_table(1 << 19)
+    assert table._A == A and table._S == S
     for c in cuts:
         table = CountTable()
         table._A, table._S = A[: c + 1], S[: c + 1]
@@ -275,27 +278,59 @@ def test_build_table_extends_from_binade_and_half_edges():
 
 
 def test_lower_half_needs_no_clamp_and_carries_every_term():
-    # The two facts build_table's lower-half loop rests on, brute-forced over
-    # every lower-half m of the binades 2^4..2^16: hi = (m + 2^(n-1) - 1) >> 1
-    # is at most 2^n - 2, so extension_range_m1's clamp to 2^n - 1 never
-    # binds; and a subtraction term at m implies one at m - 2 whenever m - 2
-    # is in the same half, so past a run's first two m every term is carried.
+    # The facts build_table's lower half rests on, brute-forced over every
+    # lower-half m of the binades 2^4..2^16: hi = (m + 2^(n-1) - 1) >> 1 is at
+    # most 2^n - 2, so extension_range_m1's clamp to 2^n - 1 never binds; a
+    # subtraction term at m implies one at m - 2 whenever m - 2 is in the same
+    # half, so past a run's first two m every term is carried; the m with no
+    # term are exactly the half's last m and last - 1, last - 2 and last - 4,
+    # and none below 16 has one; and the carried step is the one step
+    # S[ceil(m/3) - 2] - S[(m + h)//4 - 1], h = 2^(n-1) - 1.
+    _, S = stride_two_sweep(1 << 16)
+
+    def term(m, h):  # T(m) summed afresh, one m1 at a time
+        hi = (m + h) >> 1
+        return sum(S[2 * m1 - m - 1] - S[m1 // 2 - 1] for m1 in range((2 * m + 3) // 3, hi + 1))
+
+    for m in range(2, 16):
+        assert in_upper_half(m) or not extension_range_m12(extension_range_m1(m).hi, m), m
     for n in range(4, 17):
         first, last = 1 << n, (3 << (n - 1)) - 2
+        h = (1 << (n - 1)) - 1
         has_term = {}
         for m in range(first, last + 1):
-            hi = (m + (1 << (n - 1)) - 1) >> 1
+            hi = (m + h) >> 1
             assert hi <= (1 << n) - 2 and extension_range_m1(m).hi == hi, m
-            has_term[m] = (2 * m + 3) // 3 <= hi
+            m1s = (2 * m + 3) // 3
+            has_term[m] = m1s <= hi
             assert has_term[m] == bool(extension_range_m12(hi, m)), m
             if has_term[m] and m - 2 >= first:
                 assert has_term[m - 2], m
+                # j is m1s of m - 2: moving the run up by one m1 reads
+                # S[j//2 - 1] and S[hi//2 - 1], the one step's indices, and
+                # where m1s moves by two the term left behind reads one index
+                # of S twice, so it is 0
+                j = (2 * m - 1) // 3
+                assert (j >> 1) - 1 == -(-m // 3) - 2 and (hi >> 1) - 1 == (m + h) // 4 - 1, m
+                assert j + 2 != m1s or ((j + 1) >> 1) - 1 == 2 * m1s - m - 3, m
         assert has_term[first] and not has_term[last], n
+        assert {m for m, t in has_term.items() if not t} == {last - 4, last - 2, last - 1, last}, n
+        # T(m) = T(m - 2) + the step at every m of the half, the last four
+        # too, where it takes T to 0: at the edges of every half, and at
+        # every m up to 2^10
+        edges = [*range(first + 2, first + 40), *range(last - 40, last + 1)]
+        for m in range(first + 2, last + 1) if n <= 10 else edges:
+            step = S[-(-m // 3) - 2] - S[(m + h) // 4 - 1]
+            assert term(m, h) == term(m - 2, h) + step, m
 
 
 class _Bounded(list):
     """A list that raises on any index or slice bound outside it, where a
-    plain list would wrap a negative one or clip a slice."""
+    plain list would wrap a negative one or clip a slice, and on iteration,
+    which would read it past any bound."""
+
+    def __iter__(self):
+        raise TypeError("read S by index or slice only")
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -323,6 +358,22 @@ def test_lower_half_reads_only_S_below_its_binade():
                 assert got == table._A[start : end + 1], (n, start, end)
                 ranges += 1
     assert ranges == 137
+
+
+def test_lower_half_matches_the_table_on_every_range():
+    # Every (start, end) in the lower halves of 2^2..2^8: each parity of the
+    # start, and each residue of it mod 3 and mod 4, where the repeated
+    # slices of the step could slip by one.
+    table = build_table(1 << 9)
+    ranges = 0
+    for n in range(2, 9):
+        first, last = 1 << n, (3 << (n - 1)) - 2
+        below = _Bounded(table._S[: 1 << n])
+        for start in range(first, last + 1):
+            for end in range(start, last + 1):
+                assert _lower_half(below, n, start, end) == table._A[start : end + 1], (start, end)
+                ranges += 1
+    assert ranges == sum(L * (L + 1) // 2 for L in (2 ** (n - 1) - 1 for n in range(2, 9)))
 
 
 def test_build_table_holds_two_ints_an_entry():
