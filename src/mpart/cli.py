@@ -53,19 +53,17 @@ def _jint(v: int):
 
 def _emit_json(payload: dict) -> None:
     # the bytes of json.dumps(payload) + "\n", one value at a time; an
-    # iterator of lists stands for the one list they make up and goes out a
-    # list at a time, brackets cut off, never held whole
+    # iterator stands for the list of its items and goes out 4096 items a
+    # write, brackets cut off, never held whole
     out = sys.stdout
     sep = "{"
     for key, value in payload.items():
         out.write(f"{sep}{json.dumps(key)}: ")
         sep = ", "
         if isinstance(value, Iterator):
-            out.write("[")
-            inner = ""
-            for items in value:
-                out.write(inner + json.dumps(items)[1:-1])
-                inner = ", "
+            blocks = (json.dumps(block)[1:-1] for block in _blocks(value))
+            out.write("[" + next(blocks, ""))
+            out.writelines(map(", ".__add__, blocks))
             out.write("]")
         else:
             out.write(json.dumps(value))
@@ -161,7 +159,7 @@ def cmd_enum(args) -> int:
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
     walk = islice(iter_m_partitions(args.m), limit)
     if args.format == "json":
-        parts = _blocks([_jint(q) for q in p.parts] for p in walk)
+        parts = ([_jint(q) for q in p.parts] for p in walk)
         _emit_json({"kind": "enum", "m": _jint(args.m), "parts": parts, "count": _jint(count)})
     else:
         sys.stdout.writelines(map("".join, _blocks(f"{p}\n" for p in walk)))
@@ -264,8 +262,7 @@ def cmd_table(args) -> int:
         )
     table = build_table(args.M)
     if args.format == "json":
-        rows = _blocks([m, _jint(table[m])] for m in range(1, args.M + 1))
-        _emit_json({"kind": "table", "rows": rows})
+        _emit_json({"kind": "table", "rows": zip(table, map(_jint, table.values()))})
     else:
         sys.stdout.writelines(_table_rows(args.M, table))
     return 0
@@ -280,8 +277,8 @@ def cmd_series(args) -> int:
     bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
     if args.format == "json":
-        rows = _blocks([j, _jint(b), _jint(c)] for j, (b, c) in enumerate(zip(bs, cs)))
-        _emit_json({"kind": "series", "rows": rows, "matches": _blocks(map(eq, bs, cs))})
+        rows = zip(range(args.J + 1), map(_jint, bs), map(_jint, cs))
+        _emit_json({"kind": "series", "rows": rows, "matches": map(eq, bs, cs)})
     else:
         lines = (f"{j},{b},{c},{_bool(b == c)}\n" for j, (b, c) in enumerate(zip(bs, cs)))
         print("j,b_j,coeff,match")

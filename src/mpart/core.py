@@ -112,7 +112,7 @@ class Partition(_Record):
         return self.parts[-1]
 
     def __str__(self) -> str:
-        return "+".join(str(p) for p in self.parts)
+        return "+".join(map(str, self.parts))
 
 
 # The slots' own setters, which skip the refusing __setattr__: the cursor
