@@ -82,10 +82,14 @@ def _blocks(items: Iterable) -> Iterator[list]:
 
 
 def _table_rows(M: int, table: CountTable) -> Iterator[str]:
-    # pinned format: header "m,a_m", no padding, newline-terminated last row
+    # pinned format: header "m,a_m", no padding, newline-terminated last row;
+    # rows go out 4096 a block, each read from one slice of the table's list,
+    # as a() reads it: the Mapping would cost a call a row
+    A = table._A
     yield "m,a_m\n"
-    for ms in _blocks(range(1, M + 1)):
-        yield "".join(f"{m},{table[m]}\n" for m in ms)
+    for lo in range(1, M + 1, 4096):
+        hi = min(lo + 4096, M + 1)
+        yield "".join([f"{m},{v}\n" for m, v in zip(range(lo, hi), A[lo:hi])])
 
 
 def _table_csv(M: int, table: CountTable) -> str:
@@ -172,9 +176,10 @@ def cmd_enum(args) -> int:
 # and 3.5 s and table 8388608 8.6 and 8.0 s, each at 957 to 962 MB (whole
 # process, Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
 # a term (whole process, 269 MB at J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB
-# at 3*10^6).  Its JSON, the slower form, took 8.5 s at 2.5*10^6 and 12.1 s
-# at 3*10^6 (3.6 and 4.6 s in text), so the cap keeps it near the 10 s of
-# the slowest count.
+# at 3*10^6).  Its JSON, the slower form, took 6.1 to 7.2 s at 2.5*10^6 and
+# 7.5 to 8.9 s at 3*10^6 (3.7 to 4.4 and 4.6 to 5.7 s in text; whole
+# process, two sets of 3 runs each, the cap lifted for 3*10^6), so the cap
+# keeps it well inside the 10 s of the slowest count.
 _MAX_TABLE = 2**23
 _MAX_SERIES = 25 * 10**5
 # An upper-half m is b_j, j = _series_index(m), and halving b_j takes time
@@ -262,7 +267,8 @@ def cmd_table(args) -> int:
         )
     table = build_table(args.M)
     if args.format == "json":
-        _emit_json({"kind": "table", "rows": zip(table, map(_jint, table.values()))})
+        values = map(_jint, islice(table._A, 1, None))
+        _emit_json({"kind": "table", "rows": zip(range(1, args.M + 1), values)})
     else:
         sys.stdout.writelines(_table_rows(args.M, table))
     return 0

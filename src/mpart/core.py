@@ -115,9 +115,11 @@ class Partition(_Record):
         return "+".join(map(str, self.parts))
 
 
-# The slots' own setters, which skip the refusing __setattr__: the cursor
-# builds one Partition per partition, and with object.__setattr__ it took a
-# third longer per partition (Python 3.11).
+# The slots' own setters, which skip the refusing __setattr__.  The cursor
+# checks each leaf of Mp(m) at its two ends and fills the partitions between
+# them with these setters alone, on a bare Partition.__new__; with
+# object.__setattr__ the walk took a quarter longer per partition (Python
+# 3.11.7, m = 128..511).
 _set_parts = Partition.parts.__set__
 _set_total = Partition.total.__set__
 
@@ -138,7 +140,8 @@ def is_weak_m_partition(p: Partition) -> bool:
 
 def is_m_partition(p: Partition) -> bool:
     """Weak coverage plus the minimal part count num_parts(p.total)."""
-    return len(p.parts) == num_parts(p.total) and is_weak_m_partition(p)
+    # a Partition's total is at least 1, so its bit length is num_parts(total)
+    return len(p.parts) == p.total.bit_length() and is_weak_m_partition(p)
 
 
 def generate_alg1(m: int) -> Partition:

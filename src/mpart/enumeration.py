@@ -9,8 +9,11 @@ not overshoot).  That feasibility clamp is not an optimization nicety --
 without it the search degrades by orders of magnitude by m around 2**10.
 
 The cursor stops the search at the second-largest part, whose interval also
-fixes the largest, and expands each such interval into partitions, which
-stream out in ascending lexicographic order (the golden tests rely on it).
+fixes the largest, and expands each such interval, a leaf, into partitions,
+which stream out in ascending lexicographic order (the golden tests rely on
+it).  A leaf's partitions share every part but the last two, so the checked
+Partition constructor builds only its two ends, which prove the rest valid,
+and does so before the leaf yields anything.
 The counter stops one position earlier, at the third-largest part: below
 each of its intervals the last two parts are the lattice points of a
 polygon, which it counts in closed form without visiting them.
@@ -22,7 +25,7 @@ inequality characterization it is used to validate.
 
 from collections.abc import Iterator
 
-from .core import Partition, _Record, _require_positive
+from .core import Partition, _Record, _require_positive, _set_parts, _set_total
 
 
 class SumReachability(_Record):
@@ -81,16 +84,27 @@ def iter_m_partitions(m: int) -> Iterator[Partition]:
 
 
 def _walk(m: int) -> Iterator[Partition]:
-    # slots n - 1 and n take v and rest - v (buf[-2] would store slower)
+    # A leaf is pre + (v, rest - v) for v in lo..hi.  Its two ends, checked
+    # before it yields anything, prove pre positive and nondecreasing,
+    # pre[-1] <= lo and hi <= rest - hi, so every v between gives a valid
+    # partition, whose total is the ends' by construction.
     if m == 1:
         yield Partition((1,))
         return
     n = m.bit_length() - 1
+    new = Partition.__new__
     for buf, lo, hi, rest in _leaves(m, n - 1):
-        for v in range(lo, hi + 1):
-            buf[n - 1] = v
-            buf[n] = rest - v
-            yield Partition(buf)
+        pre = tuple(buf)
+        last = Partition(pre + (hi, rest - hi))
+        if lo < hi:
+            yield Partition(pre + (lo, rest - lo))
+            total = last.total
+            for v in range(lo + 1, hi):
+                p = new(Partition)
+                _set_parts(p, pre + (v, rest - v))
+                _set_total(p, total)
+                yield p
+        yield last
 
 
 def count_by_enumeration(m: int) -> int:
@@ -143,14 +157,14 @@ def _leaves(m: int, stop: int) -> Iterator[tuple[list[int], int, int, int]]:
     # the sum s before it.  It stops at position stop, 0 <= stop < n, and
     # yields buf, that position's nonempty interval lo..hi and rest = m - s.
     # At stop = n - 1, the second-largest part, each v there fixes the last
-    # part rest - v, which the clamps keep in range.  Consumers may fill
-    # buf[stop:] only.
+    # part rest - v, which the clamps keep in range.  buf holds stop parts,
+    # and consumers only read it.
     n = m.bit_length() - 1
     # position i has t = n - i parts after it: besides last <= v <= 1 + s,
     # its clamps are ceil((m + 1) / 2^t) - 1 - s <= v <= (m - s) // (t + 1)
     floors = [-(-(m + 1) >> (n - i)) - 1 for i in range(n)]
     spans = [n - i + 1 for i in range(n)]
-    buf = [0] * (n + 1)
+    buf = [0] * stop
     his = [0] * n
     sums = [0] * n
     i, s, last = 0, 0, 1

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mpart import cli, counting
 from mpart.counting import BinarySeries, build_table, gf_coefficients
-from mpart.enumeration import count_by_enumeration, iter_m_partitions
+from mpart.enumeration import _leaves, count_by_enumeration, iter_m_partitions
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +210,26 @@ def test_enum_limit_stops_the_walk_at_large_m(capsys):
     assert rc == 0
     assert out.splitlines() == ["1+1+2+4+8+16+32+64+128+256+512", "count: 1873269202"]
     assert build_table(1024)[1024] == 1873269202
+
+
+def test_enum_limit_prints_a_prefix_of_the_full_listing_across_leaves(capsys):
+    # --limit k at the last partition of a leaf and one either side of it,
+    # in both halves (40 and 150 are lower halves, 100 and 200 upper): the
+    # first 40 leaves and the last 5, and the 4096-row output blocks
+    for m in (40, 100, 150, 200):
+        n = m.bit_length() - 1
+        ends = list(itertools.accumulate(hi - lo + 1 for _, lo, hi, _ in _leaves(m, n - 1)))
+        ks = sorted({k + d for k in (*ends[:40], *ends[-5:], 4096, 8192) for d in (-1, 0, 1)})
+        _, text, _ = run_cli(capsys, "enum", str(m))
+        _, dump, _ = run_cli(capsys, "enum", str(m), "--format", "json")
+        *lines, count = text.splitlines(keepends=True)
+        full = json.loads(dump)
+        assert len(lines) == len(full["parts"]) == ends[-1], m
+        for k in ks:
+            rc, out, _ = run_cli(capsys, "enum", str(m), "--limit", str(k))
+            assert rc == 0 and out == "".join(lines[:k]) + count, (m, k)
+            rc, out, _ = run_cli(capsys, "enum", str(m), "--limit", str(k), "--format", "json")
+            assert rc == 0 and json.loads(out) == {**full, "parts": full["parts"][:k]}, (m, k)
 
 
 def test_enum_json_streams_the_bytes_of_one_dump(capsys):

@@ -1,10 +1,12 @@
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mpart import enumeration
 from mpart.core import Partition, is_m_partition, is_weak_m_partition, num_parts
 from mpart.counting import build_table
 from mpart.enumeration import (
@@ -109,6 +111,60 @@ def test_interleaved_cursors_are_independent():
     collected = [(next(left), next(right)) for _ in range(count_by_enumeration(60))]
     assert all(x == y for x, y in collected)
     assert next(left, None) is None and next(right, None) is None
+
+
+def test_cursor_partitions_keep_the_record_contract():
+    # all but each leaf's two ends skip the checked constructor; every one
+    # must still be the record that constructor builds
+    for m in range(1, 257):
+        ps = list(iter_m_partitions(m))
+        assert all(type(p) is Partition for p in ps), m
+        # pickle rebuilds each record as Partition(p.parts), so the round
+        # trip is also the checked constructor's copy of each
+        checked = pickle.loads(pickle.dumps(ps))
+        assert all(type(q) is Partition for q in checked), m
+        assert ps == checked, m
+        assert list(map(hash, ps)) == list(map(hash, checked)), m
+        assert all(p.total == q.total == sum(p.parts) == m for p, q in zip(ps, checked)), m
+        for p in ps:
+            for name in ("parts", "total"):
+                try:
+                    setattr(p, name, None)
+                except AttributeError:
+                    continue
+                pytest.fail(f"assigned {name} of {p!r}")
+
+
+# (prefix, lo, hi) of one leaf of Mp(40): 1+2+3+6 leaves rest = 28 for the
+# last two parts, so their valid range is 6..14
+_BAD_LEAVES = {
+    "lo below the prefix's last part": ((1, 2, 3, 6), 5, 8),
+    "hi past rest - hi": ((1, 2, 3, 6), 10, 15),
+}
+
+
+@pytest.mark.parametrize("leaf", _BAD_LEAVES.values(), ids=_BAD_LEAVES)
+def test_a_corrupt_leaf_raises_before_any_of_its_partitions(monkeypatch, leaf):
+    m = 40
+    n = m.bit_length() - 1
+    good = next(_leaves(m, n - 1))
+    good = (list(good[0]), *good[1:])
+    prefix, lo, hi = leaf
+    bad = (list(prefix), lo, hi, m - sum(prefix))
+
+    def leaves(m_, stop):
+        assert (m_, stop) == (m, n - 1)
+        yield good
+        yield bad
+
+    monkeypatch.setattr(enumeration, "_leaves", leaves)
+    seen = []
+    with pytest.raises(ValueError):
+        for p in iter_m_partitions(m):
+            seen.append(p.parts)
+    rest = good[3]
+    pre = tuple(good[0])
+    assert seen == [pre + (v, rest - v) for v in range(good[1], good[2] + 1)]
 
 
 def test_count_examples():
