@@ -60,7 +60,7 @@ class CountTable(Mapping[int, int]):
         # m - 2 to m as a running sum over slices of S, and sums only the
         # first term of each parity afresh from S.
         # A repeats S[t] - S[t-1] so that table[m], a(m) and a_simple(m) read
-        # a stored int; those reads set count_table's latency percentiles.
+        # a stored int; in count_table the table[m] pages set p90, a_simple p50.
         # On an upper half a_2t = a_(2t+1), and the pair holds one int object.
         self._A = [0, 1]
         self._S = [0, 1]
@@ -76,11 +76,10 @@ class CountTable(Mapping[int, int]):
         return len(self._A) - 1
 
     def __getitem__(self, m: int) -> int:
-        A = self._A
-        try:
-            if 0 < m < len(A):
-                return A[m]
-        except TypeError:  # a non-int key is absent, as in a dict
+        try:  # m > 0 keeps 0 off the padding and negatives off wraparound
+            if m > 0:
+                return self._A[m]
+        except (IndexError, TypeError):  # past the end, or not an int
             pass
         raise KeyError(m)
 

@@ -417,6 +417,20 @@ def test_range_sum_paths_agree(table14):
             small[m]
 
 
+def test_table_keys_are_exactly_the_ints_1_to_dense_limit():
+    small = build_table(10)
+    present = ((1, 1), (10, 3), (True, 1))  # True == 1 reads a_1, as a dict would
+    # 0 is the padding, -1 and -10 would wrap round to a_10 and a_1, and 1.0
+    # is absent, unlike in a dict
+    absent = (0, 11, -1, -10, 2**64, -(2**64), False, 1.0, 2.5, "1", None, (1,))
+    for key, value in present:
+        assert key in small and small.get(key) == small[key] == value, key
+    for key in absent:
+        assert key not in small and small.get(key) is None, key
+        with pytest.raises(KeyError):
+            small[key]
+
+
 # ---------------------------------------------------------------- upper half
 
 
