@@ -13,9 +13,8 @@ sum over one-step truncations (and from there to the series b_j), while the
 lower half needs the full recurrence with its subtraction term.  The dense
 table follows the split, one block of values per half-binade: each upper
 half a block of prefix-sum differences, a pair (2t, 2t+1) sharing one value,
-and each lower half a block whose subtraction term takes one step,
-T(m) = T(m - 2) + S[ceil(m/3) - 2] - S[(m + 2^(n-1) - 1)//4 - 1], from m - 2
-to m: a running sum for each parity of m.
+and each lower half a block whose subtraction term is a running sum for each
+parity of m, stepped from m - 2 to m as :func:`_lower_half` gives.
 
 Counts are exact Python ints; b_j grows like exp(c * log^2 j) and would
 eventually wrap any fixed-width type.
@@ -128,7 +127,7 @@ def a(m: int, table: CountTable | None = None) -> int:
     if table is not None or m == 1:
         return build_table(m, table)._A[m]
     S = build_table(extension_range_m1(m).hi)._S
-    return _lower_half(S, m.bit_length() - 1, m, m)[0]
+    return _lower_half(S, m, m)[0]
 
 
 def build_table(M: int, table: CountTable | None = None) -> CountTable:
@@ -141,8 +140,7 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     a_m = S[2^n - 1] - S[m//2 - 1] and the pair (2t, 2t+1) shares one
     value: a slice of S subtracted from S[2^n - 1], each difference stored
     twice as one int.  A lower half is :func:`_lower_half`, whose subtraction
-    term is a running sum, for each parity of m, of the one step
-    T(m) - T(m - 2) = S[ceil(m/3) - 2] - S[(m + 2^(n-1) - 1)//4 - 1].
+    term is a running sum, for each parity of m, of the one step it gives.
     Extending a populated table, from any cut, computes only the new entries
     and never rewrites an old one.
     """
@@ -162,17 +160,17 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
             vals = list(islice(pairs, start & 1, (start & 1) + end - start + 1))
         else:
             end = min(M, upper - 1)
-            vals = _lower_half(S, n, start, end)
+            vals = _lower_half(S, start, end)
         A += vals
         S += islice(accumulate(vals, initial=S[-1]), 1, None)
         start = end + 1
     return table
 
 
-def _lower_half(S: list[int], n: int, start: int, end: int) -> list[int]:
-    """a_start..a_end, start <= end, on the lower half of binade n,
-    2^n <= m < 2^n + 2^(n-1) - 1, read from S[:2^n] alone, one block for
-    each parity of m.
+def _lower_half(S: list[int], start: int, end: int) -> list[int]:
+    """a_start..a_end, start <= end, on the lower half of binade n =
+    floor(log2 start), 2^n <= m < 2^n + 2^(n-1) - 1, read from S[:2^n] alone,
+    one block for each parity of m.
 
     The outer sum S[hi] - S[m//2 - 1], hi = (m + h)//2 with h = 2^(n-1) - 1,
     is less the subtraction term T(m), the sum of S[2*m1 - m - 1] -
@@ -181,37 +179,36 @@ def _lower_half(S: list[int], n: int, start: int, end: int) -> list[int]:
 
         T(m) = T(m - 2) + S[ceil(m/3) - 2] - S[(m + h)//4 - 1],
 
-    which holds at every m of the half.  Below m = 16 no m has a term; from
-    2^4 on, the m of a half without one are exactly its last m = 3*2^(n-1) - 2
-    and last - 1, last - 2 and last - 4, where the step takes T down to 0.
-    So each parity sums its first T afresh from S (about m/12 terms) and the
-    rest is one running sum over two repeated slices of S, or it is the outer
-    sum alone if its first m has no term.
+    which holds at every m of the half.  So each parity sums its first T
+    afresh from S (about m/12 terms) and the rest is one running sum over
+    two repeated slices of S.  An m with no term (every m below 16; from 2^4
+    on, the half's last m = 3*2^(n-1) - 2 and last - 1, last - 2 and
+    last - 4) needs no case of its own: there m1s > hi, so the fresh sum's
+    slices are empty, and the step takes T down to 0.
     """
+    n = start.bit_length() - 1
     h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
-    last = h + (1 << n) - 1  # even m have a term up to last - 6, odd m to last - 3
     vals = [0] * (end - start + 1)
     for m in range(start, min(start + 1, end) + 1):
         hi, lo = (m + h) >> 1, (m >> 1) - 1
         k = (end - m) // 2 + 1  # m, m + 2, ..., end
         outer = map(sub, S[hi : hi + k], S[lo : lo + k])
-        if m <= last - 6 + 3 * (m & 1):  # T(m) has a term
-            m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
-            # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even
-            # m1, then for the odd
-            t = (
-                sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
-                - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
-                - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
-            )
-            # The step to m + 2i, 0 < i < k: S[ceil((m + 2i)/3) - 2] is every
-            # other entry of a slice repeated thrice, S[(hi + i)//2 - 1] one of
-            # a slice repeated twice.
-            up = S[(m + 4) // 3 - 2 : (m + 2 * k) // 3 - 1]
-            down = S[(hi >> 1) - 1 : (hi + k - 1) >> 1]
-            ups = islice(chain.from_iterable(zip(up, up, up)), (m + 4) % 3, None, 2)
-            downs = islice(chain.from_iterable(zip(down, down)), (hi & 1) + 1, None)
-            outer = map(sub, outer, accumulate(map(sub, ups, downs), initial=t))
+        m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
+        # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even m1,
+        # then for the odd
+        t = (
+            sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
+            - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
+            - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
+        )
+        # The step to m + 2i, 0 < i < k: S[ceil((m + 2i)/3) - 2] is every
+        # other entry of a slice repeated thrice, S[(hi + i)//2 - 1] one of
+        # a slice repeated twice.
+        up = S[(m + 4) // 3 - 2 : (m + 2 * k) // 3 - 1]
+        down = S[(hi >> 1) - 1 : (hi + k - 1) >> 1]
+        ups = islice(chain.from_iterable(zip(up, up, up)), (m + 4) % 3, None, 2)
+        downs = islice(chain.from_iterable(zip(down, down)), (hi & 1) + 1, None)
+        outer = map(sub, outer, accumulate(map(sub, ups, downs), initial=t))
         vals[m - start :: 2] = outer
     return vals
 

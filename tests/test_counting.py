@@ -345,19 +345,20 @@ class _Bounded(list):
 def test_lower_half_reads_only_S_below_its_binade():
     # build_table appends each lower half in one step, so no entry of it may
     # read S at 2^n or past it.  Starts at the first, second, middle and last
-    # two m of each half, ends at start, start + 3 and the half's last m.
+    # two m of each half, and at last - 4 and last - 2, where an even run
+    # starts with no term; ends at start, start + 3 and the half's last m.
     table = build_table(1 << 15)
     ranges = 0
     for n in range(2, 15):
         first, last = 1 << n, (3 << (n - 1)) - 2
         below = _Bounded(table._S[: 1 << n])
-        starts = {first, first + 1, (first + last) // 2, last - 1, last}
+        starts = {first, first + 1, (first + last) // 2, last - 4, last - 2, last - 1, last}
         for start in starts & {*range(first, last + 1)}:
             for end in {start, min(start + 3, last), last}:
-                got = _lower_half(below, n, start, end)
+                got = _lower_half(below, start, end)
                 assert got == table._A[start : end + 1], (n, start, end)
                 ranges += 1
-    assert ranges == 137
+    assert ranges == 192
 
 
 def test_lower_half_matches_the_table_on_every_range():
@@ -371,7 +372,7 @@ def test_lower_half_matches_the_table_on_every_range():
         below = _Bounded(table._S[: 1 << n])
         for start in range(first, last + 1):
             for end in range(start, last + 1):
-                assert _lower_half(below, n, start, end) == table._A[start : end + 1], (start, end)
+                assert _lower_half(below, start, end) == table._A[start : end + 1], (start, end)
                 ranges += 1
     assert ranges == sum(L * (L + 1) // 2 for L in (2 ** (n - 1) - 1 for n in range(2, 9)))
 
