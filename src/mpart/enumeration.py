@@ -19,8 +19,10 @@ each of its intervals the last two parts are the lattice points of a
 polygon, which it counts in closed form without visiting them.
 
 The oracle side is deliberately naive: a dense reachability bitmask over
-0..total built with one shifted OR per part.  It knows nothing about the
-inequality characterization it is used to validate.
+0..total built with one shifted OR per part.  Every attainable sum lies in
+0..total, so the parts cover exactly when the mask has more than total bits
+set; the oracle counts them.  It knows nothing about the inequality
+characterization it is used to validate.
 """
 
 from collections.abc import Iterator
@@ -40,7 +42,8 @@ class SumReachability(_Record):
 
     def is_complete(self) -> bool:
         """True iff every sum 0..total is attainable."""
-        return self.bits == (1 << (self.total + 1)) - 1
+        # every attainable sum lies in 0..total, so all total + 1 bits are set
+        return self.bits.bit_count() > self.total
 
     def is_complement_closed(self) -> bool:
         width = self.total + 1
@@ -48,19 +51,15 @@ class SumReachability(_Record):
         return rev == self.bits
 
 
-def _sum_bits(parts: tuple[int, ...]) -> int:
+def subset_sums(p: Partition) -> SumReachability:
+    """Exact subset-sum reachability of p's parts by dense DP."""
     # the bitmask doubles as the DP table: after processing a part q, bit s
     # is set iff s is attainable from the parts seen so far (shift-OR adds q
     # to every attainable sum)
     bits = 1
-    for q in parts:
+    for q in p.parts:
         bits |= bits << q
-    return bits
-
-
-def subset_sums(p: Partition) -> SumReachability:
-    """Exact subset-sum reachability of p's parts by dense DP."""
-    return SumReachability(p.total, _sum_bits(p.parts))
+    return SumReachability(p.total, bits)
 
 
 def oracle_is_weak(p: Partition) -> bool:
@@ -69,7 +68,11 @@ def oracle_is_weak(p: Partition) -> bool:
     Independent of the prefix-sum characterization in :mod:`mpart.core`;
     this is the oracle the fast predicate is validated against.
     """
-    return _sum_bits(p.parts) == (1 << (p.total + 1)) - 1
+    # subset_sums' DP in this frame, and SumReachability.is_complete's test
+    bits = 1
+    for q in p.parts:
+        bits |= bits << q
+    return bits.bit_count() > p.total
 
 
 def iter_m_partitions(m: int) -> Iterator[Partition]:
@@ -133,15 +136,17 @@ def _last_two(m: int, s: int, lo: int, hi: int) -> int:
     # before v = q and v from it on.
     p = (m - 3 * s - 2) // 3
     q = -(-(m // 2 - s) // 2)
+    # b = min(hi, p), a = max(lo, p + 1), then the same about q - 1 and q;
+    # conditional expressions, as the min and max calls cost more here
     total = hi - lo + 1
-    if lo <= (b := min(hi, p)):
+    if lo <= (b := hi if hi <= p else p):
         total += (b - lo + 1) * (2 + 2 * s + lo + b) // 2
-    if (a := max(lo, p + 1)) <= hi:
+    if (a := lo if lo > p else p + 1) <= hi:
         # the sum of k // 2 over k = m - s - hi .. m - s - a
         total += _half_sums(m - s - a) - _half_sums(m - s - hi - 1)
-    if lo <= (b := min(hi, q - 1)):
+    if lo <= (b := hi if hi < q else q - 1):
         total -= (b - lo + 1) * (2 * (m // 2 - s) - lo - b) // 2
-    if (a := max(lo, q)) <= hi:
+    if (a := lo if lo >= q else q) <= hi:
         total -= (hi - a + 1) * (a + hi) // 2
     return total
 
@@ -169,8 +174,14 @@ def _leaves(m: int, stop: int) -> Iterator[tuple[list[int], int, int, int]]:
     sums = [0] * n
     i, s, last = 0, 0, 1
     while True:
-        lo = max(last, floors[i] - s)
-        hi = min(1 + s, (m - s) // spans[i])
+        # lo = max(last, floors[i] - s), hi = min(1 + s, (m - s) // spans[i]),
+        # clamped by comparison: the builtins cost more per node
+        lo = floors[i] - s
+        if lo < last:
+            lo = last
+        hi = (m - s) // spans[i]
+        if hi > 1 + s:
+            hi = 1 + s
         if lo <= hi:
             if i < stop:
                 buf[i], his[i], sums[i] = lo, hi, s

@@ -59,6 +59,33 @@ def test_oracle_examples():
     assert oracle_is_weak(P(1, 2, 3, 7, 13, 27))
 
 
+def _part_lists(total, top):
+    # every nondecreasing part list of total with parts at most top
+    if total == 0:
+        yield ()
+        return
+    for last in range(min(total, top), 0, -1):
+        for rest in _part_lists(total - last, last):
+            yield rest + (last,)
+
+
+def test_oracle_bitmask_and_predicate_agree_with_combination_sums():
+    # a third route: coverage from the sums of every sub-multiset, listed by
+    # itertools.combinations, with no bitmask and no prefix sums
+    covering = 0
+    for total in range(1, 15):
+        for parts in _part_lists(total, total):
+            sums = {sum(c) for r in range(len(parts) + 1) for c in itertools.combinations(parts, r)}
+            covers = sums == set(range(total + 1))
+            p = Partition(parts)
+            assert oracle_is_weak(p) == covers, parts
+            assert subset_sums(p).is_complete() == covers, parts
+            assert is_weak_m_partition(p) == covers, parts
+            covering += covers
+    # all 507 lists of total <= 14, both sides of the property
+    assert covering == 265
+
+
 @given(part_lists)
 def test_complement_closure_always(parts):
     # s attainable iff total - s attainable: take the other parts
@@ -203,6 +230,33 @@ def test_last_two_closed_form_equals_the_walk_one_position_deeper():
             direct = sum(hi2 - lo2 + 1 for _, lo2, hi2 in seen)
             assert _last_two(m, s, lo, hi) == direct, (m, node)
         assert not below, m
+
+
+def test_last_two_at_its_breakpoints():
+    # _last_two splits lo..hi at p and q; the sub-intervals of the counter's
+    # intervals that start or end on either side of each breakpoint must
+    # count as many points (v, u) as a direct search finds: v the
+    # third-largest part, u the second-largest and m - s - v - u the largest
+    ties = set()
+    for m in range(4, 256):
+        n = m.bit_length() - 1
+        for _, lo, hi, rest in _leaves(m, n - 2):
+            s = m - rest
+            p = (m - 3 * s - 2) // 3
+            q = -(-(m // 2 - s) // 2)
+            for name, t in (("p", p), ("p + 1", p + 1), ("q - 1", q - 1), ("q", q)):
+                for side, a, b in (("lo", t, hi), ("hi", lo, t)):
+                    if not lo <= a <= b <= hi:
+                        continue
+                    direct = sum(
+                        1
+                        for v in range(a, b + 1)
+                        for u in range(v, 2 + s + v)
+                        if u <= m - s - v - u <= 1 + s + v + u
+                    )
+                    assert _last_two(m, s, a, b) == direct, (m, s, a, b)
+                    ties.add(f"{side} == {name}")
+    assert ties == {f"{side} == {t}" for side in ("lo", "hi") for t in ("p", "p + 1", "q - 1", "q")}
 
 
 def test_count_at_the_enumerate_budget_edge():
