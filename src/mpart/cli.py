@@ -172,9 +172,9 @@ def cmd_enum(args) -> int:
 
 
 # count, enum and table build a table of at most 2^23 entries, about 1 GB at
-# 118 B an entry: count 12582910, the largest lower half admitted, took 3.4
-# and 3.5 s and table 8388608 8.6 and 8.0 s, each at 957 to 962 MB (whole
-# process, Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
+# 118 B an entry: count 12582910, the largest lower half admitted, took 2.1 to
+# 2.3 s and table 8388608 6.6 to 7.5 s, each at 972 MB (whole process, four
+# runs each, Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
 # a term (whole process, 269 MB at J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB
 # at 3*10^6).  Its JSON, the slower form, took 6.1 to 7.2 s at 2.5*10^6 and
 # 7.5 to 8.9 s at 3*10^6 (3.7 to 4.4 and 4.6 to 5.7 s in text; whole

@@ -13,8 +13,9 @@ sum over one-step truncations (and from there to the series b_j), while the
 lower half needs the full recurrence with its subtraction term.  The dense
 table follows the split, one block of values per half-binade: each upper
 half a block of prefix-sum differences, a pair (2t, 2t+1) sharing one value,
-and each lower half a block whose subtraction term is a running sum for each
-parity of m, stepped from m - 2 to m as :func:`_lower_half` gives.
+and each lower half a running sum for each parity of m, stepped from m - 2
+to m by one difference of S: the outer sum's step cancels half of the
+subtraction term's, as :func:`_lower_half` gives.
 
 Counts are exact Python ints; b_j grows like exp(c * log^2 j) and would
 eventually wrap any fixed-width type.
@@ -55,9 +56,8 @@ class CountTable(Mapping[int, int]):
         # Dense arrays, valid on indices 0..dense_limit:
         #   A[t] = a_t (A[0] = 0 is padding, never a key)
         #   S[t] = a_1 + ... + a_t
-        # Nothing else is kept: a lower half steps its subtraction term from
-        # m - 2 to m as a running sum over slices of S, and sums only the
-        # first term of each parity afresh from S.
+        # Nothing else is kept: a lower half sums each parity's first term
+        # afresh from S, then steps m - 2 to m by one difference of S.
         # A repeats S[t] - S[t-1] so that table[m], a(m) and a_simple(m) read
         # a stored int; in count_table the table[m] pages set p90, a_simple p50.
         # On an upper half a_2t = a_(2t+1), and the pair holds one int object.
@@ -139,8 +139,8 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     upper half, 2^n + 2^(n-1) - 1 <= m < 2^(n+1), no truncation fails, so
     a_m = S[2^n - 1] - S[m//2 - 1] and the pair (2t, 2t+1) shares one
     value: a slice of S subtracted from S[2^n - 1], each difference stored
-    twice as one int.  A lower half is :func:`_lower_half`, whose subtraction
-    term is a running sum, for each parity of m, of the one step it gives.
+    twice as one int.  A lower half is :func:`_lower_half`: for each parity
+    of m, one running sum of the one step it gives.
     Extending a populated table, from any cut, computes only the new entries
     and never rewrites an old one.
     """
@@ -179,37 +179,37 @@ def _lower_half(S: list[int], start: int, end: int) -> list[int]:
 
         T(m) = T(m - 2) + S[ceil(m/3) - 2] - S[(m + h)//4 - 1],
 
-    which holds at every m of the half.  So each parity sums its first T
-    afresh from S (about m/12 terms) and the rest is one running sum over
-    two repeated slices of S.  An m with no term (every m below 16; from 2^4
-    on, the half's last m = 3*2^(n-1) - 2 and last - 1, last - 2 and
-    last - 4) needs no case of its own: there m1s > hi, so the fresh sum's
-    slices are empty, and the step takes T down to 0.
+    which holds at every m of the half.  As hi lies in the upper half of
+    binade n - 1, S[hi] - S[hi - 1] = a_hi = S[h] - S[hi//2 - 1], whose
+    index is the step's second one, (m + h)//4 - 1.  So the two cancel in
+    E(m) = S[hi] - T(m) = a_m + S[m//2 - 1]:
+
+        E(m) = E(m - 2) + S[h] - S[ceil(m/3) - 2].
+
+    Each parity sums its first T afresh from S (about m/12 terms), and the
+    rest is one running sum over D[u] = S[h] - S[u], each u the step of
+    three consecutive m, less a slice of S.  An m with no term (every m
+    below 16; from 2^4 on, the half's last m = 3*2^(n-1) - 2 and last - 1,
+    last - 2 and last - 4) needs no case of its own: there m1s > hi, so the
+    fresh sum's slices are empty, and the step takes T down to 0.
     """
     n = start.bit_length() - 1
     h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
+    # S[h] - S[ceil(m/3) - 2] for m = start + 2..end, shared by both parities
+    D = list(map(sub, repeat(S[h]), S[(start + 4) // 3 - 2 : (end + 2) // 3 - 1]))
     vals = [0] * (end - start + 1)
     for m in range(start, min(start + 1, end) + 1):
         hi, lo = (m + h) >> 1, (m >> 1) - 1
         k = (end - m) // 2 + 1  # m, m + 2, ..., end
-        outer = map(sub, S[hi : hi + k], S[lo : lo + k])
         m1s = (2 * m + 3) // 3  # first m1 with a nonempty inner range
-        # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even m1,
-        # then for the odd
+        # S[2*m1 - m - 1] for each m1, less S[m1//2 - 1] for the even m1, then the odd
         t = (
             sum(S[2 * m1s - m - 1 : 2 * hi - m : 2])
             - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
             - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
         )
-        # The step to m + 2i, 0 < i < k: S[ceil((m + 2i)/3) - 2] is every
-        # other entry of a slice repeated thrice, S[(hi + i)//2 - 1] one of
-        # a slice repeated twice.
-        up = S[(m + 4) // 3 - 2 : (m + 2 * k) // 3 - 1]
-        down = S[(hi >> 1) - 1 : (hi + k - 1) >> 1]
-        ups = islice(chain.from_iterable(zip(up, up, up)), (m + 4) % 3, None, 2)
-        downs = islice(chain.from_iterable(zip(down, down)), (hi & 1) + 1, None)
-        outer = map(sub, outer, accumulate(map(sub, ups, downs), initial=t))
-        vals[m - start :: 2] = outer
+        steps = islice(chain.from_iterable(zip(D, D, D)), (start + 4) % 3 + m - start, None, 2)
+        vals[m - start :: 2] = map(sub, accumulate(steps, initial=S[hi] - t), S[lo : lo + k])
     return vals
 
 

@@ -277,6 +277,13 @@ def test_build_table_extends_from_binade_and_half_edges():
                 assert table._A == A[: M + 1] and table._S == S[: M + 1], (c, M)
 
 
+def subtraction_term(S, m, h):
+    """T(m) of a lower-half m summed afresh, one m1 at a time, with
+    hi = (m + h) >> 1, h = 2^(n-1) - 1."""
+    hi = (m + h) >> 1
+    return sum(S[2 * m1 - m - 1] - S[m1 // 2 - 1] for m1 in range((2 * m + 3) // 3, hi + 1))
+
+
 def test_lower_half_needs_no_clamp_and_carries_every_term():
     # The facts build_table's lower half rests on, brute-forced over every
     # lower-half m of the binades 2^4..2^16: hi = (m + 2^(n-1) - 1) >> 1 is at
@@ -287,10 +294,6 @@ def test_lower_half_needs_no_clamp_and_carries_every_term():
     # and none below 16 has one; and the carried step is the one step
     # S[ceil(m/3) - 2] - S[(m + h)//4 - 1], h = 2^(n-1) - 1.
     _, S = stride_two_sweep(1 << 16)
-
-    def term(m, h):  # T(m) summed afresh, one m1 at a time
-        hi = (m + h) >> 1
-        return sum(S[2 * m1 - m - 1] - S[m1 // 2 - 1] for m1 in range((2 * m + 3) // 3, hi + 1))
 
     for m in range(2, 16):
         assert in_upper_half(m) or not extension_range_m12(extension_range_m1(m).hi, m), m
@@ -321,7 +324,32 @@ def test_lower_half_needs_no_clamp_and_carries_every_term():
         edges = [*range(first + 2, first + 40), *range(last - 40, last + 1)]
         for m in range(first + 2, last + 1) if n <= 10 else edges:
             step = S[-(-m // 3) - 2] - S[(m + h) // 4 - 1]
-            assert term(m, h) == term(m - 2, h) + step, m
+            assert subtraction_term(S, m, h) == subtraction_term(S, m - 2, h) + step, m
+
+
+def test_lower_half_outer_sum_cancels_half_the_step():
+    # The identity _lower_half's running sum rests on, brute-forced over the
+    # lower halves of 2^4..2^16: hi = (m + h) >> 1 lies in the upper half of
+    # binade n - 1, so A[hi] = S[h] - S[hi//2 - 1], whose index is the one
+    # the step of T subtracts; E(m) = S[hi] - T(m) then steps by
+    # S[h] - S[ceil(m/3) - 2] alone, and a_m = E(m) - S[m//2 - 1].  At every
+    # m up to 2^10, and at the edges of each half after that.
+    A, S = stride_two_sweep(3 << 15)  # a_m to the last m of 2^16's half
+
+    def E(m, h):
+        return S[(m + h) >> 1] - subtraction_term(S, m, h)
+
+    for n in range(4, 17):
+        first, last = 1 << n, (3 << (n - 1)) - 2
+        h = (1 << (n - 1)) - 1
+        edges = [*range(first, first + 40), *range(last - 40, last + 1)]
+        for m in range(first, last + 1) if n <= 10 else edges:
+            hi = (m + h) >> 1
+            assert hi.bit_length() - 1 == n - 1 and in_upper_half(hi), m
+            assert A[hi] == S[h] - S[(hi >> 1) - 1] and (hi >> 1) - 1 == (m + h) // 4 - 1, m
+            assert E(m, h) - S[(m >> 1) - 1] == A[m], m
+            if m - 2 >= first:
+                assert E(m, h) - E(m - 2, h) == S[h] - S[-(-m // 3) - 2], m
 
 
 class _Bounded(list):
@@ -378,8 +406,8 @@ def test_lower_half_matches_the_table_on_every_range():
 
 
 def test_build_table_holds_two_ints_an_entry():
-    # A and S only: traced bytes per entry of build_table(2**15), 88 B
-    # measured on CPython 3.11, with about 15% headroom; the three arrays
+    # A and S only: traced bytes per entry of build_table(2**15), 84 B
+    # measured on CPython 3.11.7, with about 20% headroom; the three arrays
     # of the stride-two sweep took 136 B
     M = 1 << 15
     tracemalloc.start()
