@@ -172,14 +172,15 @@ def cmd_enum(args) -> int:
 
 
 # count, enum and table build a table of at most 2^23 entries, about 1 GB at
-# 118 B an entry: count 12582910, the largest lower half admitted, took 2.1 to
-# 2.3 s and table 8388608 6.6 to 7.5 s, each at 972 MB (whole process, four
-# runs each, Python 3.11.7, 2 vCPUs).  series holds b_0..b_J twice, about 138 B
-# a term (whole process, 269 MB at J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB
-# at 3*10^6).  Its JSON, the slower form, took 6.1 to 7.2 s at 2.5*10^6 and
-# 7.5 to 8.9 s at 3*10^6 (3.7 to 4.4 and 4.6 to 5.7 s in text; whole
-# process, two sets of 3 runs each, the cap lifted for 3*10^6), so the cap
-# keeps it well inside the 10 s of the slowest count.
+# 118 B an entry: count 12582910, the largest lower half admitted, took 2.0 to
+# 2.8 s (median 2.1) and table 8388608 4.6 to 5.3 s (median 4.9), each at
+# 965 MB (whole process, six runs each, Python 3.11.7, 2 vCPUs).  series
+# holds b_0..b_J twice, about 138 B a term (whole process, 269 MB at
+# J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB at 3*10^6).  Its JSON, the
+# slower form, took 6.1 to 7.2 s at 2.5*10^6 and 7.5 to 8.9 s at 3*10^6
+# (3.7 to 4.4 and 4.6 to 5.7 s in text; whole process, two sets of 3 runs
+# each, the cap lifted for 3*10^6), so the cap keeps it well inside the 10 s
+# of the slowest count.
 _MAX_TABLE = 2**23
 _MAX_SERIES = 25 * 10**5
 # An upper-half m is b_j, j = _series_index(m), and halving b_j takes time

@@ -22,7 +22,7 @@ eventually wrap any fixed-width type.
 """
 
 from collections.abc import Iterator, Mapping
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb
 from operator import add, lshift, sub
 
@@ -154,10 +154,9 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
         upper = (3 << (n - 1)) - 1  # first m of the binade's upper half
         if start >= upper:
             end = min(M, (2 << n) - 1)
-            top = S[(1 << n) - 1]
-            half = [top - s for s in S[(start >> 1) - 1 : end >> 1]]
-            pairs = chain.from_iterable(zip(half, half))
-            vals = list(islice(pairs, start & 1, (start & 1) + end - start + 1))
+            half = list(map(sub, repeat(S[(1 << n) - 1]), S[(start >> 1) - 1 : end >> 1]))
+            vals = _repeat(half, 2)  # m = 2*(start//2)..2*(end//2) + 1
+            del vals[: start & 1], vals[end - start + 1 :]
         else:
             end = min(M, upper - 1)
             vals = _lower_half(S, start, end)
@@ -165,6 +164,15 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
         S += islice(accumulate(vals, initial=S[-1]), 1, None)
         start = end + 1
     return table
+
+
+def _repeat(xs: list[int], r: int) -> list[int]:
+    """Each item of xs r times in a row, by r slice stores of xs: a list
+    that holds the same int objects, with no tuple or iterator per item."""
+    out = [0] * (r * len(xs))
+    for i in range(r):
+        out[i::r] = xs
+    return out
 
 
 def _lower_half(S: list[int], start: int, end: int) -> list[int]:
@@ -197,6 +205,7 @@ def _lower_half(S: list[int], start: int, end: int) -> list[int]:
     h = (1 << (n - 1)) - 1  # hi <= 2^n - 2 on a lower half
     # S[h] - S[ceil(m/3) - 2] for m = start + 2..end, shared by both parities
     D = list(map(sub, repeat(S[h]), S[(start + 4) // 3 - 2 : (end + 2) // 3 - 1]))
+    steps3 = _repeat(D, 3)  # each parity's steps are every other item of it
     vals = [0] * (end - start + 1)
     for m in range(start, min(start + 1, end) + 1):
         hi, lo = (m + h) >> 1, (m >> 1) - 1
@@ -208,7 +217,7 @@ def _lower_half(S: list[int], start: int, end: int) -> list[int]:
             - sum(S[((m1s + 1) >> 1) - 1 : hi >> 1])
             - sum(S[(m1s >> 1) - 1 : (hi - 1) >> 1])
         )
-        steps = islice(chain.from_iterable(zip(D, D, D)), (start + 4) % 3 + m - start, None, 2)
+        steps = steps3[(start + 4) % 3 + m - start :: 2]
         vals[m - start :: 2] = map(sub, accumulate(steps, initial=S[hi] - t), S[lo : lo + k])
     return vals
 
@@ -226,17 +235,18 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 
 
 # One halving pass computes b_j faster than a fresh series appends its
-# terms from about j = 2^10 for an odd j, but only from about 2^12 for a
-# power of two, on which halving runs two tracks to the end.  value()
-# appends at most this many terms and halves past them, where even a j
-# with many trailing zeros halves faster than it appends (j = 4608, 5120,
-# 6144: 0.6 to 0.75 of the time) and an odd j in less than half the time.
+# terms from between j = 2^10 and 2^11 for an odd j, but only from about
+# j = 6000 for a power of two, on which halving runs two tracks to the end.
+# value() appends at most this many terms and halves past them.  There an
+# odd j halves in under 0.6 of the time, but a j with many trailing zeros
+# halves about as fast as it appends (j = 4608, 5120, 6144: 1.05, 1.06 and
+# 0.92 of the time), and 2^12 itself appends faster than it halves.
 # Medians of 31 calls on a fresh series, in ms (CPython 3.11.7, 2 vCPUs):
 #
 #     j                  2^9    2^10   2^11   2^12   2^13   2^14
-#     append             0.039  0.069  0.130  0.239  0.462  1.015
-#     halving, j = 2^e   0.114  0.136  0.163  0.213  0.242  0.287
-#     halving, 2^e + 1   0.046  0.060  0.074  0.089  0.106  0.155
+#     append             0.033  0.053  0.093  0.173  0.325  0.625
+#     halving, j = 2^e   0.116  0.145  0.179  0.217  0.260  0.308
+#     halving, 2^e + 1   0.052  0.065  0.081  0.098  0.119  0.140
 _MAX_APPEND = 4096
 
 
@@ -344,8 +354,8 @@ class BinarySeries:
             # for all of them when hi <= 2L, and each cached b_t is the step
             # at i = 2t and 2t+1 (only 2t+1 when L = 2t+1).
             hi = min(2 * L, j + 1)
-            half = seq[L >> 1 : (hi + 1) >> 1]
-            steps = islice(chain.from_iterable(zip(half, half)), L & 1, None)
+            steps = _repeat(seq[L >> 1 : (hi + 1) >> 1], 2)
+            del steps[: L & 1]
             seq.extend(islice(accumulate(steps, initial=seq[-1]), 1, hi - L + 1))
             L = hi
         return seq
@@ -374,10 +384,10 @@ def gf_coefficients(N: int) -> list[int]:
     identities there and are skipped.  The factors go from the largest
     stride s = 2^floor(log2 N) down to 1: before stride s, the product so
     far has terms only at multiples of 2s, so the sum need visit only the
-    multiples of s.  That is about 2N big-int additions in all, where
-    ascending strides over the whole prefix take N * (floor(log2 N) + 1).
-    The final (1-x)^-1 is one more running sum, of stride 1.  Factor order
-    is immaterial (and tested as such).
+    multiples of s.  That is about 2N big-int additions, where ascending
+    strides over the whole prefix take N * (floor(log2 N) + 1).  The final
+    (1-x)^-1 is one more running sum, of stride 1, another N: about 3N in
+    all.  Factor order is immaterial (and tested as such).
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")

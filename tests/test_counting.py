@@ -17,6 +17,7 @@ from mpart.counting import (
     CountTable,
     _b_by_halving,
     _lower_half,
+    _repeat,
     a,
     a_even_pairing_check,
     a_simple,
@@ -403,6 +404,37 @@ def test_lower_half_matches_the_table_on_every_range():
                 assert _lower_half(below, start, end) == table._A[start : end + 1], (start, end)
                 ranges += 1
     assert ranges == sum(L * (L + 1) // 2 for L in (2 ** (n - 1) - 1 for n in range(2, 9)))
+
+
+def test_repeat_gives_each_item_r_times_in_a_row():
+    xs = [10**30 + i for i in range(7)]
+    for r in (2, 3):
+        out = _repeat(xs, r)
+        naive = [x for x in xs for _ in range(r)]
+        assert out == naive, r
+        assert all(y is x for y, x in zip(out, naive)), r
+    assert _repeat([], 2) == [] and _repeat([], 3) == []
+
+
+def test_upper_half_pairs_share_one_int():
+    # a_2t = a_(2t+1) on an upper half is one stored int, whether the table
+    # is built at once or extended from a cut at either parity inside an
+    # upper half; only the pair a cut splits, (c, c + 1) for an even c, is
+    # two objects
+    M = 1 << 13
+    ref = build_table(M)
+    cuts = [
+        c
+        for n in (4, 7, 10, 12)
+        for c in (*range((3 << (n - 1)) - 1, (3 << (n - 1)) + 3), (2 << n) - 3, (2 << n) - 2)
+    ]
+    for c in (None, *cuts):
+        table = build_table(M, None if c is None else build_table(c))
+        assert table._A == ref._A, c
+        A = table._A
+        for t in range(1, M // 2):
+            if in_upper_half(2 * t) and 2 * t != c:
+                assert A[2 * t] is A[2 * t + 1], (c, 2 * t)
 
 
 def test_build_table_holds_two_ints_an_entry():
