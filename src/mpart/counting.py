@@ -231,7 +231,9 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     extends to m if needed, never the closed form.  Equals :func:`a` there.
     """
     _require_upper_half(m)
-    return build_table(m, table)._A[m]
+    if table is None or m >= len(table._A):
+        table = build_table(m, table)
+    return table._A[m]
 
 
 # One halving pass computes b_j faster than a fresh series appends its
@@ -378,15 +380,15 @@ def _running_sum(c: list[int], step: int) -> None:
 def gf_coefficients(N: int) -> list[int]:
     """Coefficients x^0..x^N of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1.
 
-    Each factor (1 - x^(2^j))^-1 is a running sum along the stride 2^j of
-    the truncated prefix, ``c[::s] = accumulate(c[::s])`` taken a block at a
-    time so that the peak stays near the result; factors with 2^j > N are
-    identities there and are skipped.  The factors go from the largest
-    stride s = 2^floor(log2 N) down to 1: before stride s, the product so
-    far has terms only at multiples of 2s, so the sum need visit only the
-    multiples of s.  That is about 2N big-int additions, where ascending
-    strides over the whole prefix take N * (floor(log2 N) + 1).  The final
-    (1-x)^-1 is one more running sum, of stride 1, another N: about 3N in
+    Each factor (1 - x^(2^j))^-1 is a running sum along the stride s = 2^j,
+    ``c[::s] = accumulate(c[::s])`` taken a block at a time so that the
+    peak stays near the result; factors with 2^j > N are identities there
+    and are skipped.  The factors go from the largest stride 2^floor(log2 N)
+    down to 1: before stride s, the product so far has terms only at
+    multiples of 2s, so the sum runs along those, and each odd multiple of s
+    takes the sum before it, as the same int.  That is about N big-int
+    additions, where ascending strides over the whole prefix take
+    N * (floor(log2 N) + 1), and the final (1-x)^-1 another N: about 2N in
     all.  Factor order is immaterial (and tested as such).
     """
     if N < 0:
@@ -395,7 +397,8 @@ def gf_coefficients(N: int) -> list[int]:
     c[0] = 1
     step = (1 << N.bit_length()) >> 1
     while step:
-        _running_sum(c, step)
+        _running_sum(c, 2 * step)
+        c[step :: 2 * step] = c[: N + 1 - step : 2 * step]
         step >>= 1
     _running_sum(c, 1)
     return c

@@ -543,6 +543,15 @@ def test_a_simple_reads_the_dense_table(table14, monkeypatch):
         assert table.dense_limit == 3500, cut
 
 
+def test_a_simple_reads_a_covering_table_without_building(table14, monkeypatch):
+    def build(*args):
+        raise AssertionError("a_simple entered build_table")
+
+    monkeypatch.setattr(counting, "build_table", build)
+    for m in (2, 3, 25, 1535, 3071, 12287, (1 << 14) - 1):
+        assert a_simple(m, table14) is table14[m], m
+
+
 # ---------------------------------------------------------------- b series
 
 
@@ -704,18 +713,21 @@ def test_gf_examples():
         gf_coefficients(-1)
 
 
+def product_in_order(N, steps):
+    """The truncated product with its strided factors applied in the given
+    order, each over the whole prefix, then (1-x)^-1."""
+    c = [0] * (N + 1)
+    c[0] = 1
+    for step in steps:
+        for i in range(step, N + 1):
+            c[i] += c[i - step]
+    for i in range(1, N + 1):
+        c[i] += c[i - 1]
+    return c
+
+
 def test_gf_factor_order_is_immaterial():
     # same truncated product with the strided factors applied in any order
-    def product_in_order(N, steps):
-        c = [0] * (N + 1)
-        c[0] = 1
-        for step in steps:
-            for i in range(step, N + 1):
-                c[i] += c[i - step]
-        for i in range(1, N + 1):
-            c[i] += c[i - 1]
-        return c
-
     # past one 4096-term block; ascending over the full range is the
     # reference, gf_coefficients goes down and touches only multiples
     N = 4100
@@ -724,6 +736,42 @@ def test_gf_factor_order_is_immaterial():
     assert gf_coefficients(N) == expect
     assert product_in_order(N, steps[::-1]) == expect
     assert product_in_order(N, [4, 1, 64, 2, 4096, 128, 8, 1024, 32, 16, 512, 2048, 256]) == expect
+
+
+def test_gf_matches_the_series_at_block_ends():
+    # stride s sums along 2s a block of 4096 terms at a time, a span of
+    # 4096 * 2s: N on either side of the first block end, for s = 1..8
+    ref = BinarySeries().prefix(10**5 + 3)
+    for s in (1, 2, 4, 8):
+        for N in (2 * 4096 * s - 1, 2 * 4096 * s, 2 * 4096 * s + 1):
+            assert gf_coefficients(N) == ref[: N + 1], N
+    assert gf_coefficients(10**5 + 3) == ref
+    N = 2 * 4096 + 1
+    steps = [1 << j for j in range(N.bit_length())]
+    assert gf_coefficients(N) == product_in_order(N, steps)
+
+
+def test_gf_sums_only_the_multiples_a_stride_changes(monkeypatch):
+    # about N items through accumulate over all strides and N for the final
+    # (1-x)^-1, plus one per stride for rounding; summing along every
+    # multiple of s would take 3N
+    refs = {N: BinarySeries().prefix(N) for N in (4100, 10**5)}
+    consumed = 0
+
+    def counted(items, *args, **kwargs):
+        def each():
+            nonlocal consumed
+            for x in items:
+                consumed += 1
+                yield x
+
+        return accumulate(each(), *args, **kwargs)
+
+    monkeypatch.setattr(counting, "accumulate", counted)
+    for N, ref in refs.items():
+        consumed = 0
+        assert gf_coefficients(N) == ref, N
+        assert consumed <= 2 * (N + 1) + 2 * N.bit_length(), (N, consumed)
 
 
 def test_series_coefficients_method_matches_cache(bser):
