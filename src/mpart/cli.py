@@ -192,8 +192,8 @@ _MAX_HALVED_BITS = 218
 
 
 def _require_countable(m: int) -> None:
-    # a with no table tabulates a lower-half m up to hi < m, and answers an
-    # upper-half m by b_j, halving a j past the series cache
+    # a tabulates a lower-half m up to hi < m, and answers an upper-half m
+    # by b_j, halving a j past the series cache
     if in_upper_half(m):
         if (bits := _series_index(m).bit_length()) > _MAX_HALVED_BITS:
             raise DomainError(

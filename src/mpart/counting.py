@@ -4,8 +4,8 @@ and the binary-partition series that gives a closed form on the upper half
 of every binade (which :func:`a` uses there when the table stops short).
 A far term b_j of that series costs one halving pass of O(log^3 j)
 big-int steps, so an upper-half count needs neither a table nor a series
-prefix, at any size.  A lower-half count with no table to extend
-tabulates only as far as its own entry reads.
+prefix, at any size.  A lower-half count tabulates only as far as its own
+entry reads.
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -46,7 +46,7 @@ class CountTable(Mapping[int, int]):
     """Write-once dense table of a_1..a_M, read as a Mapping m -> a_m.
 
     a_1 = 1 is the base case; :func:`build_table` fills every later entry
-    bottom-up and :func:`a` extends it as far as a lower-half m needs.  Keys
+    bottom-up and :func:`a` extends it as far as a lower-half m reads.  Keys
     are exactly the ints 1..dense_limit; any other key is a KeyError.  A finished table may
     be read from any number of threads; filling or extending it is a
     single-writer affair.
@@ -112,21 +112,21 @@ def a(m: int, table: CountTable | None = None) -> int:
     with the empty inner range contributing 0 and a_1 = 1 as the axiom.
     Read from ``table`` when it covers m.  Otherwise an upper-half m is
     answered by the closed form :func:`a_upper_half_via_b` in O(log^3 k)
-    big-int steps, k = 2^(n+1) - 1 - m < m/2, leaving the table as it is.
-    A lower-half m extends a given ``table`` densely up to m with
-    :func:`build_table`, two stored ints an entry, and reads it.  With no
-    table, it tabulates only up to hi = floor((m + 2^(n-1) - 1)/2), the
-    last index its entry reads, which is 2/3 to 3/4 of m, and computes that
-    one entry from there as :func:`build_table` would.
+    big-int steps, k = 2^(n+1) - 1 - m < m/2.  A lower-half m > 1 fills
+    ``table``, or a fresh one, with :func:`build_table` only up to
+    hi = floor((m + 2^(n-1) - 1)/2), the last index its entry reads, which
+    is 2/3 to 3/4 of m, and computes that one entry from there as
+    :func:`build_table` would, without storing it: ``a`` never fills a
+    table past what an entry reads.
     """
     _require_positive(m)
     if table is not None and m <= table.dense_limit:
         return table._A[m]
     if in_upper_half(m):
         return a_upper_half_via_b(m)
-    if table is not None or m == 1:
-        return build_table(m, table)._A[m]
-    S = build_table(extension_range_m1(m).hi)._S
+    if m == 1:
+        return 1
+    S = build_table(extension_range_m1(m).hi, table)._S
     return _lower_half(S, m, m)[0]
 
 

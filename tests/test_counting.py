@@ -146,14 +146,22 @@ def test_a_rejects_zero():
         a(0)
 
 
-def test_a_memoizes_into_the_given_table():
+def test_a_memoizes_into_the_given_table(monkeypatch):
+    # the entry of 40 reads a_i up to hi = 27: a fills the table that far,
+    # never with a_40 itself, and reads what it holds without building
     table = CountTable()
-    a(40, table)
-    assert 40 in table
-    assert table[40] == 60
+    assert a(40, table) == 60
+    assert extension_range_m1(40).hi == 27
+    assert table.dense_limit == len(table.memo) == 27
+    assert 40 not in table
     assert table.memo[20] == 11
+    assert a(40, table) == 60 and table.dense_limit == 27
+
+    def no_build(*args):
+        raise AssertionError("build_table called on a covering table")
+
+    monkeypatch.setattr(counting, "build_table", no_build)
     assert a(20, table) == 11
-    assert table.dense_limit == len(table.memo) == 40
 
 
 def test_a_answers_upper_half_past_the_table_by_the_closed_form(table14):
@@ -171,7 +179,9 @@ def test_a_answers_upper_half_past_the_table_by_the_closed_form(table14):
 
 def test_a_without_a_table_tabulates_only_what_its_entry_reads(monkeypatch):
     # every lower half below 2^12, and the edges of the lower halves of
-    # 2^12..2^16: the first two m of each and its last two
+    # 2^12..2^16: the first two m of each and its last two.  With no table
+    # or a fresh one, a builds one table, to hi; a table already past hi but
+    # short of m gains nothing
     edges = [
         m
         for n in range(12, 17)
@@ -184,12 +194,19 @@ def test_a_without_a_table_tabulates_only_what_its_entry_reads(monkeypatch):
     monkeypatch.setattr(
         counting, "build_table", lambda M, table=None: sizes.append(M) or build_table(M, table)
     )
+    past = CountTable()
     for m in lower:
-        sizes.clear()
-        assert a(m) == ref[m], m
-        if m > 1:  # one table, of 2/3 to 3/4 of m
-            (hi,) = sizes
-            assert 2 * m <= 3 * hi + 3 and 4 * hi <= 3 * m, (m, hi)
+        for args in ((m,), (m, CountTable())):
+            sizes.clear()
+            assert a(*args) == ref[m], args
+            if m > 1:  # one table, of 2/3 to 3/4 of m
+                (hi,) = sizes
+                assert hi == extension_range_m1(m).hi, (args, hi)
+                assert 2 * m <= 3 * hi + 3 and 4 * hi <= 3 * m, (m, hi)
+        if m > 1:
+            build_table(m - 1, past)
+        limit = past.dense_limit
+        assert a(m, past) == ref[m] and past.dense_limit == limit == max(m - 1, 1), m
 
 
 def test_memo_view_is_read_only():
@@ -681,9 +698,9 @@ def test_binary_series_grows_in_blocks_as_the_recurrence():
 
 def test_series_peak_memory_stays_near_the_result():
     # no whole-length temporary: the traced peak of each call stays within
-    # 1.25x of what its result holds once the call returns (measured 1.00x
-    # for the product and 1.17x for prefix, whose cache and copy are both
-    # alive at the end)
+    # 1.25x of what its result holds once the call returns (measured
+    # 1.02-1.04x for the product and 1.17x for prefix, whose cache and copy
+    # are both alive at the end)
     for call in (lambda: gf_coefficients(2**17), lambda: BinarySeries().prefix(2**17)):
         tracemalloc.start()
         try:
