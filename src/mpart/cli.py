@@ -174,7 +174,10 @@ def cmd_enum(args) -> int:
 # count, enum and table build a table of at most 2^23 entries, about 1 GB at
 # 118 B an entry: count 12582910, the largest lower half admitted, took 2.0 to
 # 2.8 s (median 2.1) and table 8388608 4.6 to 5.3 s (median 4.9), each at
-# 965 MB (whole process, six runs each, Python 3.11.7, 2 vCPUs).  series
+# 965 MB (whole process, six runs each, Python 3.11.7, 2 vCPUs).  As JSON,
+# the slowest form admitted, table 8388608 took 8.4 to 11.6 s (median 8.9)
+# where the CSV took 5.1 to 7.6 s (median 5.5), at 965 MB (five alternating
+# runs each, stdout discarded).  series
 # holds b_0..b_J twice, about 138 B a term (whole process, 269 MB at
 # J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB at 3*10^6).  Its JSON, the
 # slower form, took 6.1 to 7.2 s at 2.5*10^6 and 7.5 to 8.9 s at 3*10^6

@@ -146,7 +146,7 @@ def test_a_rejects_zero():
         a(0)
 
 
-def test_a_memoizes_into_the_given_table(monkeypatch):
+def test_a_fills_a_given_table_only_up_to_hi(monkeypatch):
     # the entry of 40 reads a_i up to hi = 27: a fills the table that far,
     # never with a_40 itself, and reads what it holds without building
     table = CountTable()
