@@ -12,7 +12,6 @@ always full decimal.
 """
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -46,27 +45,29 @@ from .enumeration import count_by_enumeration, iter_m_partitions
 _JSON_INT_MAX = (1 << 53) - 1
 
 
-def _jint(v: int):
-    # ints above the double-exact window travel as decimal strings
-    return v if v <= _JSON_INT_MAX else str(v)
+def _jint(v: int) -> str:
+    # the JSON text of an int; past the double-exact window, a decimal string
+    return str(v) if v <= _JSON_INT_MAX else f'"{v}"'
 
 
-def _emit_json(payload: dict) -> None:
-    # the bytes of json.dumps(payload) + "\n", one value at a time; an
-    # iterator stands for the list of its items and goes out 4096 items a
-    # write, brackets cut off, never held whole
+def _jlist(values: Iterable[int]) -> str:
+    return f"[{', '.join(map(_jint, values))}]"
+
+
+def _emit_json(kind: str, **fields) -> None:
+    # one JSON object and a newline, the bytes json.dumps writes: each field
+    # is JSON text, or an iterator of its items' JSON text, which goes out
+    # as a list a block at a time, never held whole
     out = sys.stdout
-    sep = "{"
-    for key, value in payload.items():
-        out.write(f"{sep}{json.dumps(key)}: ")
-        sep = ", "
+    out.write(f'{{"kind": "{kind}"')
+    for key, value in fields.items():
+        out.write(f', "{key}": ')
         if isinstance(value, Iterator):
-            blocks = (json.dumps(block)[1:-1] for block in _blocks(value))
-            out.write("[" + next(blocks, ""))
-            out.writelines(map(", ".__add__, blocks))
+            out.write("[")
+            out.writelines(_blocks(value, ", "))
             out.write("]")
         else:
-            out.write(json.dumps(value))
+            out.write(value)
     out.write("}\n")
 
 
@@ -74,11 +75,14 @@ def _bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _blocks(items: Iterable) -> Iterator[list]:
-    # output goes out in blocks of 4096, as one write per row is half again as slow
-    items = iter(items)
+def _blocks(items: Iterable[str], sep: str = "") -> Iterator[str]:
+    # output goes out in blocks of 4096 items, each joined by sep, as one
+    # write per item is half again as slow; sep also leads every block
+    # after the first
+    items, lead = iter(items), ""
     while block := list(islice(items, 4096)):
-        yield block
+        yield lead + sep.join(block)
+        lead = sep
 
 
 def _table_rows(M: int, table: CountTable) -> Iterator[str]:
@@ -112,15 +116,13 @@ def cmd_verify(args) -> int:
     blo, bhi = bounds.lower, bounds.upper
     if args.format == "json":
         _emit_json(
-            {
-                "kind": "verify",
-                "m": _jint(m),
-                "n": n,
-                "parts": [_jint(q) for q in p.parts],
-                "weak": weak,
-                "m_partition": full,
-                "bounds": [_jint(blo), _jint(bhi)],
-            }
+            "verify",
+            m=_jint(m),
+            n=_jint(n),
+            parts=_jlist(p.parts),
+            weak=_bool(weak),
+            m_partition=_bool(full),
+            bounds=_jlist((blo, bhi)),
         )
     else:
         print(f"parts: {p}")
@@ -139,15 +141,8 @@ def cmd_gen(args) -> int:
     p = _GENERATORS[args.alg](args.m)
     ok = is_m_partition(p)
     if args.format == "json":
-        _emit_json(
-            {
-                "kind": "gen",
-                "m": _jint(args.m),
-                "alg": args.alg,
-                "parts": [_jint(q) for q in p.parts],
-                "m_partition": ok,
-            }
-        )
+        parts = _jlist(p.parts)
+        _emit_json("gen", m=_jint(args.m), alg=_jint(args.alg), parts=parts, m_partition=_bool(ok))
     else:
         print(f"{args.m} = {p}")
         print(f"m_partition: {_bool(ok)}")
@@ -163,10 +158,10 @@ def cmd_enum(args) -> int:
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
     walk = islice(iter_m_partitions(args.m), limit)
     if args.format == "json":
-        parts = ([_jint(q) for q in p.parts] for p in walk)
-        _emit_json({"kind": "enum", "m": _jint(args.m), "parts": parts, "count": _jint(count)})
+        parts = (_jlist(p.parts) for p in walk)
+        _emit_json("enum", m=_jint(args.m), parts=parts, count=_jint(count))
     else:
-        sys.stdout.writelines(map("".join, _blocks(f"{p}\n" for p in walk)))
+        sys.stdout.writelines(_blocks(f"{p}\n" for p in walk))
         print(f"count: {count}")
     return 0
 
@@ -175,15 +170,14 @@ def cmd_enum(args) -> int:
 # 118 B an entry: count 12582910, the largest lower half admitted, took 2.0 to
 # 2.8 s (median 2.1) and table 8388608 4.6 to 5.3 s (median 4.9), each at
 # 965 MB (whole process, six runs each, Python 3.11.7, 2 vCPUs).  As JSON,
-# the slowest form admitted, table 8388608 took 8.4 to 11.6 s (median 8.9)
-# where the CSV took 5.1 to 7.6 s (median 5.5), at 965 MB (five alternating
-# runs each, stdout discarded).  series
-# holds b_0..b_J twice, about 138 B a term (whole process, 269 MB at
-# J = 2*10^6, 339 MB at 2.5*10^6 and 407 MB at 3*10^6).  Its JSON, the
-# slower form, took 6.1 to 7.2 s at 2.5*10^6 and 7.5 to 8.9 s at 3*10^6
-# (3.7 to 4.4 and 4.6 to 5.7 s in text; whole process, two sets of 3 runs
-# each, the cap lifted for 3*10^6), so the cap keeps it well inside the 10 s
-# of the slowest count.
+# the slowest form admitted, table 8388608 took 6.4 to 8.8 s (median 7.0)
+# where the CSV took 5.7 to 7.0 s (median 6.1), at 965 MB (alternating
+# whole-process runs, five and six, stdout discarded).  series holds
+# b_0..b_J twice, about 138 B a term (whole process, 269 MB at J = 2*10^6,
+# 339 to 358 MB at 2.5*10^6 and 407 MB at 3*10^6).  At the cap its JSON,
+# the slower form, took 3.4 to 5.2 s (median 3.9) and its text 3.7 to 3.8 s
+# (alternating whole-process runs, five and six), so the cap keeps it well
+# inside the 10 s of the slowest count.
 _MAX_TABLE = 2**23
 _MAX_SERIES = 25 * 10**5
 # An upper-half m is b_j, j = _series_index(m), and halving b_j takes time
@@ -255,7 +249,7 @@ def cmd_count(args) -> int:
         _require_countable(m)
     value = _COUNTERS[method](m)
     if args.format == "json":
-        _emit_json({"kind": "count", "m": _jint(m), "count": _jint(value), "method": method})
+        _emit_json("count", m=_jint(m), count=_jint(value), method=f'"{method}"')
     else:
         print(f"m: {m}")
         print(f"a_m: {value}")
@@ -272,7 +266,7 @@ def cmd_table(args) -> int:
     table = build_table(args.M)
     if args.format == "json":
         values = map(_jint, islice(table._A, 1, None))
-        _emit_json({"kind": "table", "rows": zip(range(1, args.M + 1), values)})
+        _emit_json("table", rows=(f"[{m}, {v}]" for m, v in zip(range(1, args.M + 1), values)))
     else:
         sys.stdout.writelines(_table_rows(args.M, table))
     return 0
@@ -287,12 +281,12 @@ def cmd_series(args) -> int:
     bs = BinarySeries().prefix(args.J)
     cs = gf_coefficients(args.J)
     if args.format == "json":
-        rows = zip(range(args.J + 1), map(_jint, bs), map(_jint, cs))
-        _emit_json({"kind": "series", "rows": rows, "matches": map(eq, bs, cs)})
+        rows = (f"[{j}, {b}, {c}]" for j, (b, c) in enumerate(zip(map(_jint, bs), map(_jint, cs))))
+        _emit_json("series", rows=rows, matches=map(_bool, map(eq, bs, cs)))
     else:
         lines = (f"{j},{b},{c},{_bool(b == c)}\n" for j, (b, c) in enumerate(zip(bs, cs)))
         print("j,b_j,coeff,match")
-        sys.stdout.writelines(map("".join, _blocks(lines)))
+        sys.stdout.writelines(_blocks(lines))
     return 0
 
 

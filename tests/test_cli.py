@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart import cli, counting
+from mpart import cli, core, counting
 from mpart.counting import BinarySeries, build_table, gf_coefficients
 from mpart.enumeration import _leaves, count_by_enumeration, iter_m_partitions
 
@@ -269,8 +269,8 @@ def test_enum_prints_as_it_walks(monkeypatch):
 
 @pytest.mark.parametrize("argv", [["table", "65536"], ["series", "65536"]])
 def test_json_rows_stream_as_the_text_rows_do(monkeypatch, argv):
-    # through a discarding stdout the JSON form peaks 0.8 MB (table) and
-    # 1.4 MB (series) above the text form (Python 3.11.7); rows listed before the
+    # through a discarding stdout the JSON form peaks 0.10 MB (table) and
+    # 0.05 MB (series) above the text form (Python 3.11.7); rows listed before the
     # first write would add 8.5 and 15.7 MB
     peaks = []
     for fmt in ([], ["--format", "json"]):
@@ -750,6 +750,49 @@ def test_printed_partitions_round_trip_through_verify(capsys):
         assert rc2 == 0 and "m_partition: true" in out2
 
 
+@pytest.mark.parametrize("m", [2**53 - 1, 2**53, 2**64 + 2**63 + 5])
+def test_scalar_json_payloads_past_2_53_are_the_bytes_of_one_dump(capsys, m):
+    # m, parts, bounds and counts on both sides of 2**53 - 1; a lower-half
+    # 2**53 needs a table past the cap, so count and enum refuse it
+    def dump(payload):
+        return json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+    witness = core.generate_alg1(m)
+    bounds = core.largest_part_bounds(m)
+    rc, out, _ = run_cli(capsys, "verify", *map(str, witness.parts), "--format", "json")
+    assert rc == 0 and out == dump(
+        {
+            "kind": "verify",
+            "m": jint(m),
+            "n": core.num_parts(m) - 1,
+            "parts": [jint(q) for q in witness.parts],
+            "weak": True,
+            "m_partition": True,
+            "bounds": [jint(bounds.lower), jint(bounds.upper)],
+        }
+    )
+    for alg, gen in ((1, core.generate_alg1), (2, core.generate_alg2), (3, core.generate_alg3)):
+        if alg == 3 and core.in_upper_half(m):
+            continue  # outside alg 3's window
+        rc, out, _ = run_cli(capsys, "gen", str(m), "--alg", str(alg), "--format", "json")
+        parts = [jint(q) for q in gen(m).parts]
+        assert rc == 0 and out == dump(
+            {"kind": "gen", "m": jint(m), "alg": alg, "parts": parts, "m_partition": True}
+        )
+    rc, out, _ = run_cli(capsys, "count", str(m), "--format", "json")
+    if not core.in_upper_half(m):
+        assert rc == 1 and out == ""
+        rc, out, _ = run_cli(capsys, "enum", str(m), "--limit", "2", "--format", "json")
+        assert rc == 1 and out == ""
+        return
+    count = jint(counting.a(m))
+    payload = {"kind": "count", "m": jint(m), "count": count, "method": "genfun"}
+    assert rc == 0 and out == dump(payload)
+    rc, out, _ = run_cli(capsys, "enum", str(m), "--limit", "2", "--format", "json")
+    parts = [[jint(q) for q in p.parts] for p in itertools.islice(iter_m_partitions(m), 2)]
+    assert rc == 0 and out == dump({"kind": "enum", "m": jint(m), "parts": parts, "count": count})
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "count", "300", "--format", "json")
     second = run_cli(capsys, "count", "300", "--format", "json")
@@ -789,14 +832,25 @@ def test_json_output_is_the_bytes_of_one_dump(capsys, argv, keys):
 
 
 def test_emit_json_writes_each_iterator_as_the_list_of_its_items(capsys):
-    # an empty stream, one row past a 4096-item write, bools, and a scalar
+    # each field is JSON text or an iterator of its items' JSON text: an
+    # empty stream, one row past a 4096-item write, bools, and a scalar
     # after a stream
     js = range(4097)
     flags = [j % 3 == 0 for j in range(10)]
     cli._emit_json(
-        {"empty": iter(()), "rows": zip(js, map(str, js)), "matches": map(bool, flags), "kind": 7}
+        "demo",
+        empty=iter(()),
+        rows=(f'[{j}, "{j}"]' for j in js),
+        matches=map(cli._bool, flags),
+        n="7",
     )
-    payload = {"empty": [], "rows": [[j, str(j)] for j in js], "matches": flags, "kind": 7}
+    payload = {
+        "kind": "demo",
+        "empty": [],
+        "rows": [[j, str(j)] for j in js],
+        "matches": flags,
+        "n": 7,
+    }
     assert capsys.readouterr().out == json.dumps(payload, separators=(", ", ": ")) + "\n"
 
 
@@ -805,7 +859,7 @@ def test_cli_import_skips_heavy_modules():
     src = str(Path(cli.__file__).parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import mpart.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources'} "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources', 'json'} "
         "& set(sys.modules)))"
     )
     proc = subprocess.run(
