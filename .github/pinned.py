@@ -1,15 +1,31 @@
-"""Run every pinned `mpart` output and cap edge once; exit 1 if any pin failed.
+"""Run every pinned `mpart` output and cap edge; exit 1 if any pin failed.
 
 Each pin runs `timeout <s> python -m mpart <argv>` and checks its exit code
 and its stdout: a SHA-256 digest, a whole line within the first 64 KiB, or
-nothing.  Each pin logs one line with its time and the peak RSS that
+nothing.  Each run logs one line with its time and the peak RSS that
 os.wait4 reads.  From the repository root, with or without an install:
-PYTHONPATH=src python .github/pinned.py
+
+    PYTHONPATH=src python .github/pinned.py
+    PYTHONPATH=src python .github/pinned.py --repeat 3 --out BENCH_<pr>_cli.json
+
+--repeat N runs every pin N times, in N rounds over the table; a pin fails
+if any of its runs fails.  --out PATH writes one JSON object: per pin, its
+argv, exit codes, times with their median and spread, peak RSS and work
+unit; per run, the host's Python, nproc, PYTHONDONTWRITEBYTECODE, the
+commit and the median time of perfbench's reference work.
 """
+import argparse
 import hashlib
+import json
 import os
+import platform
+import subprocess
 import sys
 import time
+from itertools import islice
+from statistics import median
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # A cap admits inputs that finish within a 10 s budget, run here under twice
 # that since hosts differ; the first input past it must exit 1 at once.
@@ -50,7 +66,8 @@ PINS = [  # (timeout s, exit code wanted, stdout SHA-256 | a line stdout holds |
 ]
 
 
-def run(limit: int, want: int, check: str | None, argv: list[str]) -> bool:
+def run(limit: int, want: int, check: str | None, argv: list[str]) -> tuple[bool, int, float, float]:
+    """Run one pin once and log it; return (ok, exit code, seconds, peak RSS in MB)."""
     r, w = os.pipe()
     cmd = ["timeout", str(limit), sys.executable, "-m", "mpart", *argv]
     t0 = time.perf_counter()
@@ -62,16 +79,94 @@ def run(limit: int, want: int, check: str | None, argv: list[str]) -> bool:
             digest.update(chunk)
             head += chunk[: (1 << 16) - len(head)]
     _, status, usage = os.wait4(pid, 0)
-    s, rc, sha = time.perf_counter() - t0, os.waitstatus_to_exitcode(status), digest.hexdigest()
+    s, rc, sha, mb = time.perf_counter() - t0, os.waitstatus_to_exitcode(status), digest.hexdigest(), usage.ru_maxrss / 1024
     # a line cut off by the end of the head is no whole line
     ok = rc == want and (check in (None, sha) or check.encode() in head.split(b"\n")[:-1])
-    print(f"{'ok' if ok else 'FAILED'}: {s:.2f} s, {usage.ru_maxrss / 1024:.1f} MB peak RSS, exit {rc} (want {want}), "
+    print(f"{'ok' if ok else 'FAILED'}: {s:.2f} s, {mb:.1f} MB peak RSS, exit {rc} (want {want}), "
           f"stdout sha256 {sha} (want {check!s:.64}): mpart {' '.join(argv)}", flush=True)
-    return ok
+    return ok, rc, s, mb
+
+
+def work(argv: list[str]) -> tuple[str, int]:
+    """The work a pin's input asks for, whether it is done or refused: rows
+    for table, series and enum, partitions for count --method enumerate,
+    table entries hi for a lower-half count, bits of j for an upper half."""
+    # imported once the pins have run: a spawned pin's peak RSS reads at
+    # least this process's own
+    from mpart.core import extension_range_m1, in_upper_half
+    from mpart.counting import _series_index, a
+    from mpart.enumeration import iter_m_partitions
+
+    cmd, m = argv[0], int(argv[1])
+    if cmd == "table":
+        return "rows", m
+    if cmd == "series":
+        return "rows", m + 1
+    if cmd == "enum":
+        if "--limit" in argv:
+            return "rows", sum(1 for _ in islice(iter_m_partitions(m), int(argv[argv.index("--limit") + 1])))
+        return "rows", a(m)
+    if "enumerate" in argv:
+        return "partitions", a(m)
+    if in_upper_half(m):
+        return "bits of j", _series_index(m).bit_length()
+    return "table entries", extension_range_m1(m).hi
+
+
+def host() -> dict:
+    """What a run's times depend on besides the code: the interpreter, the
+    cores, bytecode caching, the commit, and the median of 21 timings of
+    perfbench's reference work, a fixed computation independent of mpart."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from harness import reference_work
+
+    ns = []
+    for _ in range(21):
+        t0 = time.perf_counter_ns()
+        reference_work()
+        ns.append(time.perf_counter_ns() - t0)
+    git = subprocess.run(["git", "-C", ROOT, "describe", "--always", "--dirty", "--abbrev=40"],
+                         capture_output=True, text=True)
+    return {
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "commit": git.stdout.strip() if git.returncode == 0 else None,
+        "reference_work_ms": median(ns) / 1e6,
+    }
+
+
+def drive(pins: list, repeat: int = 1, out: str | None = None) -> int:
+    """Run every pin `repeat` times, in rounds over `pins`, and log a summary;
+    with `out`, write the JSON report there.  Return how many pins failed."""
+    t0 = time.perf_counter()
+    runs = [[] for _ in pins]
+    for _ in range(repeat):
+        for pin, pin_runs in zip(pins, runs):
+            pin_runs.append(run(*pin))
+    failed = sum(not all(ok for ok, *_ in pin_runs) for pin_runs in runs)
+    print(f"{len(pins)} pins in {time.perf_counter() - t0:.1f} s, {failed} failed")
+    if out is not None:
+        report = host() | {"repeat": repeat, "failed": failed, "pins": []}
+        for (_, want, _, argv), pin_runs in zip(pins, runs):
+            oks, codes, times, mbs = zip(*pin_runs)
+            unit, count = work(argv)
+            report["pins"].append({
+                "argv": argv, "ok": all(oks), "want": want, "exit_codes": list(codes),
+                "times_s": list(times), "median_s": median(times), "spread_s": max(times) - min(times),
+                "peak_rss_mb": max(mbs), "work_unit": unit, "work": count,
+            })
+        with open(out, "w") as f:
+            json.dump(report, f, indent=1)
+            f.write("\n")
+    return failed
 
 
 if __name__ == "__main__":
-    t0 = time.perf_counter()
-    failed = sum(not run(*pin) for pin in PINS)
-    print(f"{len(PINS)} pins in {time.perf_counter() - t0:.1f} s, {failed} failed")
-    sys.exit(failed > 0)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each pin (default 1)")
+    parser.add_argument("--out", help="write the JSON report to this path")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sys.exit(drive(PINS, args.repeat, args.out) > 0)

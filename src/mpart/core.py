@@ -127,14 +127,14 @@ _set_total = Partition.total.__set__
 def is_weak_m_partition(p: Partition) -> bool:
     """True iff every integer 0..p.total is a sub-multiset sum of the parts.
 
-    One pass over prefix sums: each part may exceed the sum of its
-    predecessors by at most one (so the first part must be 1).
+    One pass with a running bound b = 1 + (sum of the parts before): each
+    part may be at most b (so the first part must be 1).
     """
-    s = 0
+    b = 1
     for part in p.parts:
-        if part > s + 1:
+        if part > b:
             return False
-        s += part
+        b += part
     return True
 
 
