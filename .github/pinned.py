@@ -2,8 +2,9 @@
 
 Each pin runs `timeout <s> python -m mpart <argv>` and checks its exit code
 and its stdout: a SHA-256 digest, a whole line within the first 64 KiB, or
-nothing.  Each run logs one line with its time and the peak RSS that
-os.wait4 reads.  From the repository root, with or without an install:
+nothing.  Each run logs one line with its time and the peak RSS of the
+`python -m mpart` process alone.  From the repository root, with or without
+an install:
 
     PYTHONPATH=src python .github/pinned.py
     PYTHONPATH=src python .github/pinned.py --repeat 3 --out BENCH_<pr>_cli.json
@@ -66,20 +67,39 @@ PINS = [  # (timeout s, exit code wanted, stdout SHA-256 | a line stdout holds |
 ]
 
 
+# A process started by posix_spawn shares its parent's memory until it execs,
+# and keeps the parent's high-water RSS as its own.  So `timeout`'s peak, and
+# with it what os.wait4 reads, is never below the driver's; this wrapper,
+# started with no site imports, waits on `python -m mpart` and writes the
+# peak of that child alone to the file descriptor named by its first argument.
+WAIT = """import os, resource, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "mpart", *sys.argv[2:]], os.environ)
+status = os.waitpid(pid, 0)[1]
+os.write(int(sys.argv[1]), b"%d" % resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))"""
+
+
 def run(limit: int, want: int, check: str | None, argv: list[str]) -> tuple[bool, int, float, float]:
     """Run one pin once and log it; return (ok, exit code, seconds, peak RSS in MB)."""
     r, w = os.pipe()
-    cmd = ["timeout", str(limit), sys.executable, "-m", "mpart", *argv]
+    peak_r, peak_w = os.pipe()
+    os.set_inheritable(peak_w, True)
+    cmd = ["timeout", str(limit), sys.executable, "-S", "-c", WAIT, str(peak_w), *argv]
     t0 = time.perf_counter()
     pid = os.posix_spawnp("timeout", cmd, os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, w, 1)])
     os.close(w)
+    os.close(peak_w)
     digest, head = hashlib.sha256(), b""
     with open(r, "rb") as f:
         while chunk := f.read(1 << 20):
             digest.update(chunk)
             head += chunk[: (1 << 16) - len(head)]
     _, status, usage = os.wait4(pid, 0)
-    s, rc, sha, mb = time.perf_counter() - t0, os.waitstatus_to_exitcode(status), digest.hexdigest(), usage.ru_maxrss / 1024
+    s, rc, sha = time.perf_counter() - t0, os.waitstatus_to_exitcode(status), digest.hexdigest()
+    with open(peak_r, "rb") as f:
+        peak = f.read()
+    # a pin killed by its timeout reports no peak: log timeout's, an upper bound
+    mb = int(peak or usage.ru_maxrss) / 1024
     # a line cut off by the end of the head is no whole line
     ok = rc == want and (check in (None, sha) or check.encode() in head.split(b"\n")[:-1])
     print(f"{'ok' if ok else 'FAILED'}: {s:.2f} s, {mb:.1f} MB peak RSS, exit {rc} (want {want}), "
@@ -91,8 +111,6 @@ def work(argv: list[str]) -> tuple[str, int]:
     """The work a pin's input asks for, whether it is done or refused: rows
     for table, series and enum, partitions for count --method enumerate,
     table entries hi for a lower-half count, bits of j for an upper half."""
-    # imported once the pins have run: a spawned pin's peak RSS reads at
-    # least this process's own
     from mpart.core import extension_range_m1, in_upper_half
     from mpart.counting import _series_index, a
     from mpart.enumeration import iter_m_partitions

@@ -237,18 +237,18 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
 
 
 # One halving pass computes b_j faster than a fresh series appends its
-# terms from between j = 2^10 and 2^11 for an odd j, but only from about
-# j = 6000 for a power of two, on which halving runs two tracks to the end.
-# value() appends at most this many terms and halves past them.  There an
-# odd j halves in under 0.6 of the time, but a j with many trailing zeros
-# halves about as fast as it appends (j = 4608, 5120, 6144: 1.05, 1.06 and
-# 0.92 of the time), and 2^12 itself appends faster than it halves.
-# Medians of 31 calls on a fresh series, in ms (CPython 3.11.7, 2 vCPUs):
+# terms from between j = 2^9 and 2^10 for an odd j, and from between 2^11
+# and 2^12 for a power of two, on which halving runs two tracks to the end.
+# value() appends at most this many terms and halves past them, so it sits
+# above the crossover for every j: 4096 itself halves in 0.87 of the time
+# it appends, 3072 in 0.96, 4608 to 6144 in 0.62 to 0.71, and 1025 and
+# 2049 in 0.84 and 0.59 (medians of 7 rounds).
+# In ms, medians of 5 rounds of 31 calls on a fresh series (CPython 3.11.7):
 #
 #     j                  2^9    2^10   2^11   2^12   2^13   2^14
-#     append             0.033  0.053  0.093  0.173  0.325  0.625
-#     halving, j = 2^e   0.116  0.145  0.179  0.217  0.260  0.308
-#     halving, 2^e + 1   0.052  0.065  0.081  0.098  0.119  0.140
+#     append             0.037  0.061  0.107  0.197  0.374  0.726
+#     halving, j = 2^e   0.093  0.115  0.140  0.167  0.209  0.248
+#     halving, 2^e + 1   0.041  0.052  0.063  0.074  0.093  0.109
 _MAX_APPEND = 4096
 
 
@@ -266,7 +266,9 @@ def _halve(lead: list[int], x: int) -> list[int]:
     h_k = 2 lead[k-1] + lead[k], and H(2t), whose step-2 difference is
     Delta (2 + Delta), has the k-th difference ((2 + Delta)^k h)_k: the
     first entry after k passes of h_n -> 2 h_n + h_(n+1) over h_1, h_2, ...
-    That is about d^2 big-int operations at degree d.
+    The passes run in place on one list, each one entry shorter than the
+    last, and pass k leaves its entry at index k - 1: about d^2 big-int
+    operations at degree d, and no list built per pass.
     """
     # F(x) = sum over r of lead[r] * C(x+1, r+1)
     F, c = 0, 1
@@ -275,9 +277,12 @@ def _halve(lead: list[int], x: int) -> list[int]:
         F += v * c
     out = [2 * F - lead[0]]
     h = list(map(add, map(lshift, lead, repeat(1)), [*lead[1:], 0]))
-    while h:
-        h = list(map(add, map(lshift, h, repeat(1)), [*h[1:], 0]))
-        out.append(-h.pop(0))
+    n = len(h)
+    for i in range(n):
+        for k in range(i, n - 1):
+            h[k] = (h[k] << 1) + h[k + 1]
+        h[-1] <<= 1
+        out.append(-h[i])
     return out
 
 

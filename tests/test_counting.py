@@ -3,6 +3,7 @@ import tracemalloc
 from functools import lru_cache
 from hashlib import sha256
 from itertools import accumulate
+from math import comb
 from operator import sub
 
 import pytest
@@ -16,6 +17,7 @@ from mpart.counting import (
     BinarySeries,
     CountTable,
     _b_by_halving,
+    _halve,
     _lower_half,
     _repeat,
     a,
@@ -613,6 +615,23 @@ def test_b_by_halving_matches_the_series():
 def test_one_halving_pass_matches_the_product():
     # called directly: value() appends in this range
     assert [_b_by_halving(j) for j in range(1 << 12)] == gf_coefficients((1 << 12) - 1)
+
+
+def test_one_halving_level_keeps_the_weighted_sum():
+    # T(P, x) = T(P', x//2) for P' = _halve(P, x), T(P, x) the sum of
+    # P(i) * b_i over 0 <= i <= x, summed term by term with P(i) the sum of
+    # lead[r] * C(i, r): seeded leads of 1-24 large entries of both signs,
+    # at x = 4 + len, a seeded x up to 4096, and x = 4096 for the longest.
+    b = BinarySeries().prefix(4096)
+
+    def T(lead, x):
+        return sum(b[i] * sum(v * comb(i, r) for r, v in enumerate(lead[: i + 1])) for i in range(x + 1))
+
+    rng = random.Random(3737)
+    for length in range(1, 25):
+        lead = [rng.randint(-(2**200), 2**200) for _ in range(length)]
+        for x in {4 + length, rng.randint(4, 4096), *([4096] if length == 24 else [])}:
+            assert T(lead, x) == T(_halve(lead, x), x // 2), (length, x)
 
 
 def test_b_by_halving_matches_the_two_pass_difference():

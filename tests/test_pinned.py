@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 from statistics import median
 
+import pytest
+
 from mpart import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,12 +22,17 @@ def load_pinned():
     return module
 
 
-def test_pin_driver_repeats_each_pin_and_reports_every_run(tmp_path, monkeypatch, capsys):
-    pinned = load_pinned()
-    # the pins run `python -m mpart` on the sources this test imports
+@pytest.fixture
+def these_sources(monkeypatch):
+    """The pins run `python -m mpart` on the sources this test imports, and
+    the report's host() may put perfbench on sys.path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     monkeypatch.setattr(sys, "path", sys.path[:])
+
+
+def test_pin_driver_repeats_each_pin_and_reports_every_run(tmp_path, these_sources, capsys):
+    pinned = load_pinned()
     pins = [
         (20, 0, hashlib.sha256(b"m,a_m\n1,1\n2,1\n3,1\n4,1\n5,2\n").hexdigest(), ["table", "5"]),
         # the third row of enum 10, past the limit: every run of this pin fails
@@ -59,3 +66,14 @@ def test_a_pin_fails_when_any_of_its_runs_fails(monkeypatch):
     results = iter([(True, 0, 0.1, 20.0), (False, 1, 0.1, 20.0)])
     monkeypatch.setattr(pinned, "run", lambda *pin: next(results))
     assert pinned.drive([(20, 0, None, ["table", "5"])], repeat=2) == 1
+
+
+def test_a_pin_reports_its_own_peak_not_the_drivers(tmp_path, these_sources, capsys):
+    pinned = load_pinned()
+    held = b"x" * (100 << 20)  # written, so resident in the driver
+    out = tmp_path / "bench.json"
+    assert pinned.drive([(20, 0, None, ["table", "5"])], out=str(out)) == 0
+    del held
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("ok: ") and float(line.split(", ")[1].split(" MB")[0]) < 50, line
+    assert 0 < json.loads(out.read_text())["pins"][0]["peak_rss_mb"] < 50
