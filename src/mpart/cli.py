@@ -183,8 +183,8 @@ _MAX_SERIES = 25 * 10**5
 # An upper-half m is b_j, j = _series_index(m), and halving b_j takes time
 # growing as the bit length of j to the fifth; a j the series cache reaches
 # by appending never halves, however large m is.  Of 218-bit j, 3*2^216
-# took 6.2 to 9.9 s (median 7.0), 7*2^215 6.9 to 8.1 s, 2^217 6.7 to 7.0 s
-# and 2^218 - 1 3.0 to 3.2 s (in-process, 3 runs each, Python 3.11.7).
+# took 6.2 to 9.9 s (median 7.5, 9 runs), 7*2^215 6.9 to 8.1 s, 2^217 6.7
+# to 7.0 s and 2^218 - 1 3.0 to 3.2 s (in-process, Python 3.11.7).
 _MAX_HALVED_BITS = 218
 
 
