@@ -57,7 +57,11 @@ PINS = [  # (timeout s, exit code wanted, stdout SHA-256 | a line stdout holds |
     # stride 2^21 of the truncated product, at 9603885, before each stride
     # summed only its even multiples
     (SLOW, 0, "0b72cc82cc67d9ce13f87ff67f11073b8a476a204083fe15a84849ca6feee572", ["series", "2500000", "--format", "json"]),
-    (SLOW, 0, None, ["count", str(13 * 2**217 - 1)]),  # j = 3*2^216, the slowest 218-bit halving measured
+    # j = 3*2^216, the slowest 218-bit halving measured, digest at b8f3c21,
+    # while value() still appended up to 4096 terms; and j = 4096, the last
+    # j it appended, which now halves
+    (SLOW, 0, "5ee4a193892a01f132255989efcf7ad3a8e9b24b4f65d42ccda0232b3ea23f86", ["count", str(13 * 2**217 - 1)]),
+    (SLOW, 0, "a_m: 34394869942983370", ["count", "57343"]),
     (SLOW, 0, "a_m: 98547380", ["count", "3470", "--method", "enumerate"]),  # a_3470 = b_312 <= 10^8
     (FAST, 1, None, ["table", "8388609"]),
     (FAST, 1, None, ["count", "16777216"]),

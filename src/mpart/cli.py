@@ -14,6 +14,7 @@ always full decimal.
 import argparse
 import os
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from operator import eq
@@ -181,8 +182,8 @@ def cmd_enum(args) -> int:
 _MAX_TABLE = 2**23
 _MAX_SERIES = 25 * 10**5
 # An upper-half m is b_j, j = _series_index(m), and halving b_j takes time
-# growing as the bit length of j to the fifth; a j the series cache reaches
-# by appending never halves, however large m is.  Of 218-bit j, 3*2^216
+# growing as the bit length of j to the fifth; j = 0 is cached and j < 4 is
+# summed directly, however large m is.  Of 218-bit j, 3*2^216
 # took 6.2 to 9.9 s (median 7.5, 9 runs), 7*2^215 6.9 to 8.1 s, 2^217 6.7
 # to 7.0 s and 2^218 - 1 3.0 to 3.2 s (in-process, Python 3.11.7).
 _MAX_HALVED_BITS = 218
@@ -215,14 +216,14 @@ _MAX_ENUMERATED = 10**8
 def _require_enumerable(m: int) -> None:
     limit = f"walks at most {_MAX_ENUMERATED} partitions"
     if in_upper_half(m):
-        # a_m = b_j, and b_j increases with j: every j from the first b_J
-        # past the budget on is refused with b_J, never with a far b_j
-        bs, j, J = BinarySeries(), _series_index(m), 0
-        while bs.value(J) <= _MAX_ENUMERATED:
-            J += 1
-        if j < J:
+        # a_m = b_j, increasing in j: every j from the first b_J past the
+        # budget on is refused with b_J, read from a prefix, never a far b_j
+        bs, j, n = BinarySeries(), _series_index(m), 1
+        while (b := bs.prefix(n))[-1] <= _MAX_ENUMERATED:
+            n *= 2
+        if j < (J := bisect_right(b, _MAX_ENUMERATED)):
             return
-        bound, a_m = (f"a_m = b_{j} >= b_{J}" if j > J else "a_m"), bs.value(J)
+        bound, a_m = (f"a_m = b_{j} >= b_{J}" if j > J else "a_m"), b[J]
     else:
         # a_m >= a_(m >> s), as appending ceil(m/2) extends Mp(m//2) into Mp(m);
         # past 2^12 that bound, at least a_3070 = 2320518947, refuses alone

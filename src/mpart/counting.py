@@ -236,22 +236,6 @@ def a_simple(m: int, table: CountTable | None = None) -> int:
     return table._A[m]
 
 
-# One halving pass computes b_j faster than a fresh series appends its
-# terms from between j = 2^9 and 2^10 for an odd j, and from between 2^11
-# and 2^12 for a power of two, on which halving runs two tracks to the end.
-# value() appends at most this many terms and halves past them, so it sits
-# above the crossover for every j: 4096 itself halves in 0.87 of the time
-# it appends, 3072 in 0.96, 4608 to 6144 in 0.62 to 0.71, and 1025 and
-# 2049 in 0.84 and 0.59 (medians of 7 rounds).
-# In ms, medians of 5 rounds of 31 calls on a fresh series (CPython 3.11.7):
-#
-#     j                  2^9    2^10   2^11   2^12   2^13   2^14
-#     append             0.037  0.061  0.107  0.197  0.374  0.726
-#     halving, j = 2^e   0.093  0.115  0.140  0.167  0.209  0.248
-#     halving, 2^e + 1   0.041  0.052  0.063  0.074  0.093  0.109
-_MAX_APPEND = 4096
-
-
 def _halve(lead: list[int], x: int) -> list[int]:
     """One halving level, T(P, x) = T(P', x//2), with P and P' held as their
     forward differences at 0; deg P' = deg P + 1.
@@ -325,10 +309,11 @@ def _b_by_halving(j: int) -> int:
 
 
 class BinarySeries:
-    """Values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2),
-    over a cache of b_0, b_1, ... that grows only by appending.  Each step
-    b_(j//2) of a new term lies in the cached first half, so the cache at
-    most doubles per block, each block one running sum over those steps.
+    """Values of the doubling recurrence b_0 = 1, b_j = b_(j-1) + b_(j//2).
+    :meth:`prefix` appends to a cache of b_0, b_1, ...: each step b_(j//2)
+    of a new term lies in the cached first half, so the cache at most
+    doubles per block, each block one running sum over those steps.
+    :meth:`value` reads the cache, or halves a term past it.
 
     b_j counts the partitions of 2j into powers of two and equals the x^j
     coefficient of (1-x)^-1 * prod_{j>=0} (1-x^(2^j))^-1; the test suite
@@ -339,11 +324,10 @@ class BinarySeries:
         self._b = [1]
 
     def value(self, j: int) -> int:
-        """b_j.  Read from the cache when it holds j; appended to it when at
-        most ``_MAX_APPEND`` terms are missing; otherwise computed in one
-        halving pass of O(log^3 j) big-int steps, which answers without
+        """b_j.  Read from the cache when it holds j; otherwise computed in
+        one halving pass of O(log^3 j) big-int steps, which answers without
         filling the cache."""
-        if j - len(self._b) >= _MAX_APPEND:
+        if j >= len(self._b):
             return _b_by_halving(j)
         return self._extend(j)[j]
 
@@ -413,8 +397,8 @@ def a_upper_half_via_b(m: int, series: BinarySeries | None = None) -> int:
     """Closed form on the upper half: a_m = b_floor(k/2), k = 2^(n+1) - 1 - m.
 
     Domain is the same window as :func:`a_simple`; always equals :func:`a`
-    there.  b_floor(k/2) is computed by halving only when more than
-    ``_MAX_APPEND`` terms are missing from the series cache.
+    there.  b_floor(k/2) is computed by halving unless the series cache
+    holds it.
     """
     _require_upper_half(m)
     return (series if series is not None else BinarySeries()).value(_series_index(m))

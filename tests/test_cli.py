@@ -348,12 +348,18 @@ def test_count_enumerate_refuses_a_far_upper_half_without_halving(monkeypatch, c
     assert f"and a_m = b_{2**198 - 3} >= b_313 = 100469666;" in err
 
 
-def test_count_enumerate_at_its_budget_edge(capsys):
-    # a_3470 = 98547380 is the largest a_m <= 10**8 below 4096
+def test_count_enumerate_at_its_budget_edge(monkeypatch, capsys):
+    # a_3470 = 98547380 is the largest a_m <= 10**8 below 4096; the gate
+    # reads b_0..b_313 from a series prefix and halves no b_J, so a_3470 =
+    # b_312 is walked and a_3469 = b_313 refused with its value, which the
+    # message names as a_m since j = J = 313
     assert cli._MAX_ENUMERATED == 10**8
+    monkeypatch.setattr(counting, "_b_by_halving", no_halving)
     rc, out, err = run_cli(capsys, "count", "3470", "--method", "enumerate")
     assert rc == 0 and err == ""
     assert out == "m: 3470\na_m: 98547380\nmethod: enumerate\n"
+    rc, out, err = run_cli(capsys, "count", "3469", "--method", "enumerate")
+    assert rc == 1 and out == "" and "and a_m = 100469666;" in err
 
 
 def _allow_small_tables_only(monkeypatch):
@@ -481,13 +487,14 @@ def test_count_and_enum_refuse_an_upper_half_past_the_halving_cap(monkeypatch, c
 
 def test_count_and_enum_answer_a_far_m_near_its_binade_top_without_halving(monkeypatch, capsys):
     # the gate reads the bits of j, not of m: at the real cap, 2^300 - 1 has
-    # j = 0 and 2^301 - 8001 has j = 4000, both answered from the series
-    # cache with no halving pass
+    # j = 0, answered from the series cache with no halving pass, and
+    # 2^301 - 8001 has j = 4000, whose 12 bits halve
     monkeypatch.setattr(counting, "_b_by_halving", no_halving)
     top = str(2**300 - 1)
     assert run_cli(capsys, "count", top) == (0, f"m: {top}\na_m: 1\nmethod: genfun\n", "")
     powers = "+".join(str(1 << i) for i in range(300))
     assert run_cli(capsys, "enum", top) == (0, f"{powers}\ncount: 1\n", "")
+    monkeypatch.undo()
     m = 2**301 - 8001
     b = gf_coefficients(4000)[-1]
     for method in ("recurrence", "genfun"):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from mpart import cli, counting
 from mpart.core import DomainError, extension_range_m1, extension_range_m12
 from mpart.counting import (
-    _MAX_APPEND,
     BinarySeries,
     CountTable,
     _b_by_halving,
@@ -597,23 +596,20 @@ def test_b_summation_identity(bser):
 
 
 def test_b_by_halving_matches_the_series():
-    ref = BinarySeries().prefix(2 * _MAX_APPEND)
+    ref = BinarySeries().prefix(8192)
     # the two-pass oracle, on every x < 2^12
     assert [b_prefix_sum(x) for x in range(1 << 12)] == list(accumulate(ref[: 1 << 12]))
-    # value() on a fresh series appends up to _MAX_APPEND terms, and halves
-    # past that without filling the cache
-    for j in (_MAX_APPEND - 1, _MAX_APPEND):
-        series = BinarySeries()
-        assert series.value(j) == ref[j] and len(series._b) == j + 1, j
-    for j in (_MAX_APPEND + 1, 2 * _MAX_APPEND):
-        series = BinarySeries()
+    # value() on a fresh series halves every j past the cache without
+    # filling it; only prefix fills the cache, and value() then reads it
+    series = BinarySeries()
+    for j in (1, 4095, 4096, 4097, 8192):
         assert series.value(j) == ref[j] and len(series._b) == 1, j
     series.prefix(10)
     assert len(series._b) == 11  # prefix always fills the cache
+    assert [series.value(j) for j in range(11)] == ref[:11]
 
 
 def test_one_halving_pass_matches_the_product():
-    # called directly: value() appends in this range
     assert [_b_by_halving(j) for j in range(1 << 12)] == gf_coefficients((1 << 12) - 1)
 
 
@@ -699,18 +695,15 @@ def test_b_meets_churchhouses_congruence():
 
 
 def test_binary_series_grows_in_blocks_as_the_recurrence():
-    # one series grown by uneven calls, from odd and even lengths, across
-    # the 4096-term blocks; each call must leave exactly the one-term
-    # recurrence in the cache
+    # one series grown by uneven prefix calls, from odd and even lengths,
+    # across the 4096-term blocks; each call must leave exactly the
+    # one-term recurrence in the cache
     ref = [1]
     for i in range(1, 12290):
         ref.append(ref[-1] + ref[i >> 1])
     series = BinarySeries()
     for n in (1, 2, 3, 4095, 4096, 4097, 8193, 8194, 12289):
-        if n & 1:
-            assert series.prefix(n - 1) == ref[:n], n
-        else:
-            assert series.value(n - 1) == ref[n - 1], n
+        assert series.prefix(n - 1) == ref[:n], n
         assert series._b == ref[:n], n
     assert BinarySeries().prefix(12289) == ref
 
@@ -812,9 +805,9 @@ def test_gf_sums_only_the_multiples_a_stride_changes(monkeypatch):
 
 def test_series_coefficients_method_matches_cache(bser):
     assert gf_coefficients(100) == bser.prefix(100)
-    # value(j) past the append limit takes the halving route
+    # value(j) past the cache takes the halving route
     rng = random.Random(6)
-    js = [rng.randrange(_MAX_APPEND, 10**6 + 1) for _ in range(24)]
+    js = [rng.randrange(4096, 10**6 + 1) for _ in range(24)]
     coeff = gf_coefficients(max(js))
     for j in js:
         assert BinarySeries().value(j) == coeff[j], j
