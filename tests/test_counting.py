@@ -17,6 +17,8 @@ from mpart.counting import (
     CountTable,
     _b_by_halving,
     _halve,
+    _t_head,
+    _T_ROWS,
     _lower_half,
     _repeat,
     a,
@@ -628,6 +630,23 @@ def test_one_halving_level_keeps_the_weighted_sum():
         lead = [rng.randint(-(2**200), 2**200) for _ in range(length)]
         for x in {4 + length, rng.randint(4, 4096), *([4096] if length == 24 else [])}:
             assert T(lead, x) == T(_halve(lead, x), x // 2), (length, x)
+
+
+def test_head_rows_and_dot_product_match_the_term_by_term_sums():
+    # row x + 1 of _T_ROWS holds sum b_i * C(i, r) over i <= x, for x = -1..31;
+    # _t_head on seeded leads of 1-40 entries of both signs (about 200 bits)
+    # is T(P, x) summed term by term, also where the lead is longer than the row
+    b = BinarySeries().prefix(31)
+    assert len(_T_ROWS) == 33
+    for x in range(-1, 32):
+        want = [sum(b[i] * comb(i, r) for i in range(x + 1)) for r in range(x + 1)]
+        assert _T_ROWS[x + 1] == want, x
+    rng = random.Random(3939)
+    for length in range(1, 41):
+        lead = [rng.randint(-(2**200), 2**200) for _ in range(length)]
+        for x in range(-1, 32):
+            want = sum(b[i] * sum(v * comb(i, r) for r, v in enumerate(lead)) for i in range(x + 1))
+            assert _t_head(lead, x) == want, (length, x)
 
 
 def test_b_by_halving_matches_the_two_pass_difference():
