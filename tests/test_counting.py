@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from mpart import cli, counting
 from mpart.core import DomainError, extension_range_m1, extension_range_m12
 from mpart.counting import (
+    _T_ROWS,
     BinarySeries,
     CountTable,
     _b_by_halving,
     _halve,
-    _t_head,
-    _T_ROWS,
     _lower_half,
     _repeat,
+    _t_head,
     a,
     a_even_pairing_check,
     a_simple,
