@@ -5,7 +5,8 @@ of every binade (which :func:`a` uses there when the table stops short).
 A far term b_j of that series costs one halving pass of O(log^3 j)
 big-int steps, so an upper-half count needs neither a table nor a series
 prefix, at any size.  A lower-half count tabulates only as far as its own
-entry reads.
+entry reads, and every table starts from a head of a_1..a_31 built once
+at import, so the seven blocks below 2^5 run once a process, not a table.
 
 Writing n = floor(log2 m), each binade [2^n, 2^(n+1)) splits at
 2^n + 2^(n-1) - 1: on the upper-half window the count collapses to a plain
@@ -48,7 +49,8 @@ class CountTable(Mapping[int, int]):
     bottom-up and :func:`a` extends it as far as a lower-half m reads.  Keys
     are exactly the ints 1..dense_limit; any other key is a KeyError.  A finished table may
     be read from any number of threads; filling or extending it is a
-    single-writer affair.
+    single-writer affair.  The head that every table copies its first entries
+    from is shared by all of them and only read, so this holds for it too.
     """
 
     def __init__(self) -> None:
@@ -141,12 +143,15 @@ def build_table(M: int, table: CountTable | None = None) -> CountTable:
     twice as one int.  A lower half is :func:`_lower_half`: for each parity
     of m, one running sum of the one step it gives.
     Extending a populated table, from any cut, computes only the new entries
-    and never rewrites an old one.
+    and never rewrites an old one.  Before its first block it copies what it
+    lacks of a_1..a_31 and their sums from a head built once at import.
     """
     _require_positive(M, "M")
     if table is None:
         table = CountTable()
     A, S = table._A, table._S
+    A += _TABLE_HEAD._A[len(A) : M + 1]  # the slices stop at the head's end, _HEAD
+    S += _TABLE_HEAD._S[len(S) : M + 1]
     start = len(A)
     while start <= M:
         n = start.bit_length() - 1
@@ -269,7 +274,9 @@ def _halve(lead: list[int], x: int) -> list[int]:
     return out
 
 
-_HEAD = 32  # halving stops at x < _HEAD, where T(P, x) is one dot product with a row
+# Two heads end at _HEAD: halving stops at x < _HEAD, where T(P, x) is one dot
+# product with a row of _T_ROWS, and build_table copies a_1..a_(_HEAD - 1) from _TABLE_HEAD.
+_HEAD = 32
 
 
 def _head_rows() -> list[list[int]]:
@@ -284,6 +291,8 @@ def _head_rows() -> list[list[int]]:
 
 
 _T_ROWS = _head_rows()
+_TABLE_HEAD = CountTable()
+build_table(_HEAD - 1, _TABLE_HEAD)  # by the one loop: its copy from itself is empty
 
 
 def _t_head(lead: list[int], x: int) -> int:

@@ -14,6 +14,7 @@ from mpart import cli, counting
 from mpart.core import DomainError, extension_range_m1, extension_range_m12
 from mpart.counting import (
     _T_ROWS,
+    _TABLE_HEAD,
     BinarySeries,
     CountTable,
     _b_by_halving,
@@ -263,6 +264,38 @@ def test_build_table_equals_the_stride_two_sweep():
     for c in range(1, 600):
         table = build_table(600, build_table(c))
         assert table._A == A[:601] and table._S == S[:601], c
+
+
+def test_table_head_is_the_sweep_of_a_1_to_31(counts64):
+    # every table starts from this head, built at import by build_table's loop
+    A, S = stride_two_sweep(31)
+    assert _TABLE_HEAD._A == A and _TABLE_HEAD._S == S
+    assert _TABLE_HEAD._A[1:] == counts64[1:32]
+    assert _TABLE_HEAD.dense_limit == counting._HEAD - 1 == 31
+
+
+def test_no_table_changes_or_shares_a_list_of_the_head():
+    # Every table copies what it lacks of the head, from a cut below, inside
+    # or past it, and a lower-half a fills one up to hi.  The head's lists
+    # keep their values and lengths throughout, and no table holds one of
+    # them: a table that did would grow it, or be grown by the next copy.
+    head = (_TABLE_HEAD._A, _TABLE_HEAD._S)
+    A, S = map(list, head)
+
+    def check(table, key):
+        assert _TABLE_HEAD._A == A and _TABLE_HEAD._S == S, key
+        assert not any(x is y for x in (table._A, table._S) for y in head), key
+
+    check(CountTable(), None)
+    for c in range(1, 41):
+        table = build_table(c)
+        check(table, c)
+        check(build_table(600, table), c)
+    for m in range(2, 300):
+        if not in_upper_half(m):
+            table = CountTable()
+            a(m, table)
+            check(table, m)
 
 
 def test_build_table_extends_from_binade_and_half_edges():
